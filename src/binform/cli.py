@@ -13,6 +13,7 @@ import json
 import os
 import re
 import sys
+import time
 from fractions import Fraction
 
 from .beauville import (
@@ -35,9 +36,6 @@ from .invariants import (
     verify_dims,
     verify_relation,
 )
-
-_VERIFY_TARGETS = ("keyprop", "relation", "disc", "prop48", "dims")
-
 
 def _thread_cap() -> int:
     """Honor the BINFORM_THREADS cap (the implementation is sequential, so
@@ -94,46 +92,36 @@ def _cmd_beauville(args) -> int:
     return 0
 
 
+def _verify_relation() -> dict:
+    vector = quintic_invariants(
+        sylvester_specialize(SylvesterPoint.symbolic()))
+    return {"holds": verify_relation(vector), "mode": "symbolic-canonical"}
+
+
+def _verify_prop48() -> dict:
+    _, rank = prop48_rank()
+    return {"holds": rank == 19, "rows": 19, "cols": 21, "rank": rank}
+
+
+# verify target -> (report builder, key of the verdict in the report); the
+# builders look the library functions up when called
+_VERIFY = {
+    "keyprop": (lambda args: verify_keyprop(), "all_match"),
+    "relation": (lambda args: _verify_relation(), "holds"),
+    "disc": (lambda args: verify_disc(seed=args.seed), "holds"),
+    "prop48": (lambda args: _verify_prop48(), "holds"),
+    "dims": (lambda args: verify_dims(), "holds"),
+}
+
+
 def _cmd_verify(args) -> int:
-    target = args.target
-    if target == "keyprop":
-        report = verify_keyprop()
-        holds = report["all_match"]
-        if not args.timing:
-            report.pop("seconds", None)
-    elif target == "relation":
-        import time
-        start = time.perf_counter()
-        vector = quintic_invariants(
-            sylvester_specialize(SylvesterPoint.symbolic()))
-        holds = verify_relation(vector)
-        report = {"holds": holds, "mode": "symbolic-canonical"}
-        if args.timing:
-            report["seconds"] = time.perf_counter() - start
-    elif target == "disc":
-        import time
-        start = time.perf_counter()
-        report = verify_disc(seed=args.seed)
-        holds = report["holds"]
-        if args.timing:
-            report["seconds"] = time.perf_counter() - start
-    elif target == "prop48":
-        import time
-        start = time.perf_counter()
-        _, rank = prop48_rank()
-        holds = rank == 19
-        report = {"holds": holds, "rows": 19, "cols": 21, "rank": rank}
-        if args.timing:
-            report["seconds"] = time.perf_counter() - start
-    else:  # dims
-        import time
-        start = time.perf_counter()
-        report = verify_dims()
-        holds = report["holds"]
-        if args.timing:
-            report["seconds"] = time.perf_counter() - start
+    build, verdict = _VERIFY[args.target]
+    start = time.perf_counter()
+    report = build(args)
+    if args.timing:
+        report["seconds"] = time.perf_counter() - start
     _emit(report)
-    return 0 if holds else 1
+    return 0 if report[verdict] else 1
 
 
 def _cmd_dim(args) -> int:
@@ -202,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_beauville)
 
     p = sub.add_parser("verify", help="run a headline verification")
-    p.add_argument("target", choices=_VERIFY_TARGETS)
+    p.add_argument("target", choices=tuple(_VERIFY))
     p.add_argument("--timing", action="store_true",
                    help="include wall-clock seconds in the report")
     p.add_argument("--seed", type=int, default=0,
@@ -286,6 +274,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader left early (``| head``): not an error; keep the
+        # interpreter's final flush of the dead pipe quiet as well
+        sys.stdout = open(os.devnull, "w")
+        return 0
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

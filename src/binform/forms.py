@@ -9,7 +9,7 @@ numeric form simply has constant coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 from typing import Sequence
 
 from .mpoly import MPoly, PolyMatrix, Scalar, det_fraction_free
@@ -239,36 +239,35 @@ def act(g: GroupElement, form: BinaryForm) -> BinaryForm:
     return BinaryForm(out)
 
 
-def _mixed_partials(form: BinaryForm, k: int) -> list:
-    """[d^k F / dx1^(k-i) dx2^i for i in 0..k]."""
-    row = [form]
-    for _ in range(k):
-        nxt = [f.diff_x1() for f in row]
-        nxt.append(row[-1].diff_x2())
-        row = nxt
-    return row
-
-
 def transvectant(f: BinaryForm, g: BinaryForm, k: int) -> BinaryForm:
     """The k-th transvectant (f, g)_k of forms of orders p and q:
 
-    (p-k)!(q-k)!/(p!q!) * sum_i (-1)^i C(k,i)
-        d^k f/dx1^(k-i)dx2^i * d^k g/dx1^i dx2^(k-i)
+    (p-k)!(q-k)!/(p!q!) * sum_j (-1)^j C(k,j)
+        d^k f/dx1^(k-j)dx2^j * d^k g/dx1^j dx2^(k-j),
 
-    a form of order p + q - 2k.
+    a form of order p + q - 2k, summed here straight from the coefficient
+    vectors: the product a_i * b_l of f's i-th and g's l-th coefficients
+    lands in coefficient i + l - k with weight
+
+    (p-k)!(q-k)!/(p!q!) * sum_j (-1)^j C(k,j)
+        (p-i)_(k-j) (i)_j (q-l)_j (l)_(k-j),
+
+    where (n)_m = n!/(n-m)! is the falling factorial, zero when m > n.
     """
     p, q = f.order, g.order
     if k < 0 or k > p or k > q:
         raise ValueError(f"transvectant index {k} out of range for orders {p},{q}")
     pref = Fraction(factorial(p - k) * factorial(q - k), factorial(p) * factorial(q))
-    df = _mixed_partials(f, k)
-    dg = _mixed_partials(g, k)
-    acc = None
-    for i in range(k + 1):
-        piece = df[i] * dg[k - i]
-        piece = piece * (comb(k, i) * pref * (-1 if i % 2 else 1))
-        acc = piece if acc is None else acc + piece
-    return acc
+    out = [MPoly.zero(()) for _ in range(p + q - 2 * k + 1)]
+    for i, ai in enumerate(f.coeffs):
+        if ai.is_zero():
+            continue
+        for l, bl in enumerate(g.coeffs):
+            weight = sum((-1) ** j * comb(k, j) * perm(p - i, k - j) * perm(i, j)
+                         * perm(q - l, j) * perm(l, k - j) for j in range(k + 1))
+            if weight and not bl.is_zero():
+                out[i + l - k] = out[i + l - k] + ai * bl * (weight * pref)
+    return BinaryForm(out)
 
 
 def sylvester_matrix(f: BinaryForm, g: BinaryForm) -> PolyMatrix:

@@ -5,7 +5,8 @@ vector.  The packing puts the total degree in the top field and the
 exponents below it, most significant variable first, so that ordinary
 integer comparison of keys realises the graded lexicographic monomial
 order: leading-term extraction is ``max`` over the key set, and printing
-in canonical order is a single sort.
+in canonical order is a single sort.  Each exponent field is 16 bits wide,
+so a total degree above 65535 raises OverflowError.
 
 Coefficients are exact rationals.  Integer-valued coefficients are kept
 as plain ``int`` (a rational with denominator one); everything else is a
@@ -25,6 +26,14 @@ Scalar = Union[int, Fraction]
 
 _BITS = 16
 _MASK = (1 << _BITS) - 1
+
+
+def _check_degree(degree: int) -> None:
+    # every exponent is at most the total degree, so this keeps each one
+    # inside its field
+    if degree > _MASK:
+        raise OverflowError(
+            f"total degree {degree} exceeds the supported maximum {_MASK}")
 
 
 def _norm_coeff(c: Coeff) -> Coeff:
@@ -98,7 +107,6 @@ def _dict_exact_div(num: dict, den: dict, nvars: int, integer_mode: bool) -> dic
     dk0 = max(den)
     dc0 = den[dk0]
     den_items = list(den.items())
-    dshift = nvars * _BITS
     r = dict(num)
     q: dict = {}
     heap = [-k for k in r]
@@ -131,7 +139,6 @@ def _dict_exact_div(num: dict, den: dict, nvars: int, integer_mode: bool) -> dic
                     del r[kk]
     if r:
         raise ArithmeticError("inexact polynomial division")
-    assert dshift >= 0
     return q
 
 
@@ -186,6 +193,7 @@ class MPoly:
                 raise ValueError("exponent vector length mismatch")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
+            _check_degree(sum(exps))
             key = sum(exps) << (n * _BITS)
             for i, e in enumerate(exps):
                 key |= e << ((n - 1 - i) * _BITS)
@@ -316,6 +324,9 @@ class MPoly:
         if other is NotImplemented:
             return NotImplemented
         vs, f, g = self._aligned(other)
+        if f and g:
+            dsh = len(vs) * _BITS
+            _check_degree((max(f) >> dsh) + (max(g) >> dsh))
         return MPoly(vs, _dict_mul(f, g))
 
     __rmul__ = __mul__
@@ -332,6 +343,8 @@ class MPoly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        if self._terms:
+            _check_degree(self.total_degree() * exponent)
         result = MPoly(self._vars, {0: 1}, _clean_input=False)
         base = self
         e = exponent
@@ -384,7 +397,8 @@ class MPoly:
         for b in bound.values():
             uni |= set(b._vars)
         target = tuple(sorted(uni))
-        nt = len(target)
+        # a term's image has its degree plus e * (deg b - 1) per bound variable
+        growth = {v: max(b.total_degree(), 0) - 1 for v, b in bound.items()}
         bound_aligned = {v: _remap_terms(b._terms, b._vars, target)
                          for v, b in bound.items()}
         pow_cache: dict = {v: [{0: 1}] for v in bound}
@@ -394,9 +408,12 @@ class MPoly:
         acc: dict = {}
         for k, c in self._terms.items():
             base = k
+            degree = k >> dsh
             for v, sh in shifts.items():
                 e = (k >> sh) & _MASK
                 base -= (e << sh) + (e << dsh)
+                degree += e * growth[v]
+            _check_degree(degree)
             cur = {_remap_key(base, self._n, keep_table): c}
             for v, sh in shifts.items():
                 e = (k >> sh) & _MASK
@@ -409,7 +426,6 @@ class MPoly:
             get = acc.get
             for kk, cc in cur.items():
                 acc[kk] = get(kk, 0) + cc
-        assert nt == len(target)
         return MPoly(target, acc)
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
@@ -583,6 +599,7 @@ def parse_poly(text: str, variables: Iterable[str] = ()) -> MPoly:
     acc: dict = {}
     for coeff, exps in raw_terms:
         vec = tuple(exps.get(v, 0) for v in vs)
+        _check_degree(sum(vec))
         key = sum(vec) << (len(vs) * _BITS)
         for i, e in enumerate(vec):
             key |= e << ((len(vs) - 1 - i) * _BITS)

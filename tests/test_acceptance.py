@@ -58,6 +58,7 @@ def test_criterion_1_keyprop_tables(criterion, request):
         report = result["report"]
         assert report["all_match"] is True
         assert result["wall_seconds"] <= 900
+        assert list(report) == ["all_match", "entries", "seconds"]
 
         # every coefficient of every table, parsed back exactly
         assert len(report["entries"]) == 6

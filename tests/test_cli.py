@@ -1,6 +1,9 @@
 """Command-line front end: wire format, JSON payloads, and exit codes."""
 
+import contextlib
+import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -8,6 +11,8 @@ from fractions import Fraction
 
 import pytest
 from conftest import run_cli
+
+from binform.cli import main as cli_main
 
 from binform.beauville import beauville_closed_form
 from binform.forms import BinaryForm
@@ -135,6 +140,12 @@ class TestVerifyCmd:
         assert code == 0
         payload = json.loads(out)
         assert isinstance(payload["seconds"], float)
+        assert list(payload)[-1] == "seconds"
+
+    def test_no_seconds_without_timing(self):
+        code, out, _ = run_cli(["verify", "dims"])
+        assert code == 0
+        assert "seconds" not in json.loads(out)
 
     def test_unknown_target(self):
         code, _, err = run_cli(["verify", "nonsense"])
@@ -257,6 +268,33 @@ class TestDeterminismAndEnvironment:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["holds"] is True
+
+    def test_broken_pipe_exits_quietly(self):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        err = io.StringIO()
+        with contextlib.redirect_stdout(ClosedPipe()), \
+                contextlib.redirect_stderr(err):
+            code = cli_main(["basis", "48"])
+            # later writes, such as the interpreter's final flush, go nowhere
+            assert sys.stdout.name == os.devnull
+            sys.stdout.close()
+        assert code == 0
+        assert err.getvalue() == ""
+
+    def test_reader_closing_the_pipe_early(self):
+        # the output (about 400 kB) outgrows the pipe buffer, so the process
+        # is still writing when the reader stops after one line
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "binform.cli", "basis", "2400"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"(200,0,0)\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
     def test_console_script_installed(self):
         path = shutil.which("binform")

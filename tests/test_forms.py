@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -208,6 +209,32 @@ class TestTransvectant:
         f = BinaryForm([1, 0, 1])
         with pytest.raises(ValueError, match="out of range"):
             transvectant(f, f, 3)
+
+    def test_matches_the_definition(self):
+        # (f, g)_k = (p-k)!(q-k)!/(p!q!) * sum_j (-1)^j C(k,j)
+        #            d^k f/dx1^(k-j)dx2^j * d^k g/dx1^j dx2^(k-j),
+        # with the partials taken on the expanded polynomials
+        def partial(poly, n1, n2):
+            for var, n in (("x1", n1), ("x2", n2)):
+                for _ in range(n):
+                    poly = poly.diff(var)
+            return poly
+
+        for p in range(1, 6):
+            for q in range(1, 6):
+                f, g = generic_form(p, "a"), generic_form(q, "b")
+                fx, gx = f.to_mpoly(), g.to_mpoly()
+                for k in range(min(p, q) + 1):
+                    pref = Fraction(factorial(p - k) * factorial(q - k),
+                                    factorial(p) * factorial(q))
+                    total = MPoly.zero()
+                    for j in range(k + 1):
+                        total = total + (partial(fx, k - j, j)
+                                         * partial(gx, j, k - j)
+                                         * ((-1) ** j * comb(k, j)))
+                    got = transvectant(f, g, k)
+                    assert got.order == p + q - 2 * k
+                    assert got.to_mpoly() == total * pref
 
     def test_covariance_under_the_action(self):
         # (gF, gG)_k = det(g)^(-k) * g (F, G)_k

@@ -168,6 +168,48 @@ class TestTextFormat:
                 parse_poly(bad)
 
 
+class TestExponentOverflow:
+    # exponents are packed in 16-bit fields: a total degree above 65535
+    # must raise instead of wrapping into the neighbouring field
+
+    def test_largest_degree_is_exact(self):
+        f = X ** 65535
+        assert f.total_degree() == 65535 and f.degree("x") == 65535
+        assert format_poly(f) == "x^65535"
+
+    def test_mul(self):
+        with pytest.raises(OverflowError):
+            X ** 65535 * X
+        with pytest.raises(OverflowError):
+            X ** 40000 * Y ** 30000
+
+    def test_pow(self):
+        with pytest.raises(OverflowError):
+            X ** 65536
+        with pytest.raises(OverflowError):
+            (X * Y) ** 65535
+
+    def test_substitute(self):
+        f = X ** 40000 + Y
+        assert f.substitute({"y": X ** 2}).total_degree() == 40000
+        with pytest.raises(OverflowError):
+            f.substitute({"x": X * Y})
+
+    def test_from_terms(self):
+        with pytest.raises(OverflowError):
+            MPoly.from_terms(("x",), {(65536,): 1})
+        with pytest.raises(OverflowError):
+            MPoly.from_terms(("x", "y"), {(40000, 30000): 1})
+
+    def test_parse_poly(self):
+        with pytest.raises(OverflowError):
+            parse_poly("x^65536")
+        with pytest.raises(OverflowError):
+            parse_poly("x^40000*y^30000")
+        with pytest.raises(OverflowError):
+            parse_poly("x^40000*x^30000")
+
+
 class TestMonicDivision:
     def test_division_invariant(self):
         rng = random.Random(31)
