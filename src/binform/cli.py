@@ -1,9 +1,11 @@
 """Command-line front end: exact invariant computations as batch commands.
 
 Every subcommand is deterministic given its arguments (and seed where one
-applies); JSON output is byte-identical across runs and thread counts, with
-all rationals serialized as decimal strings, never floats.  Exit codes:
-0 success/true, 1 mathematically false, 2 usage/parse/domain error.
+applies); JSON output is byte-identical across runs, with all rationals
+serialized as decimal strings, never floats.  Exit codes: 0 success/true,
+1 mathematically false, 2 usage/parse/domain error.  Results are printed
+however many digits they have; each input coefficient is bounded instead,
+at CPython's default int/str conversion limit.
 """
 
 from __future__ import annotations
@@ -37,22 +39,24 @@ from .invariants import (
     verify_relation,
 )
 
-def _thread_cap() -> int:
-    """Honor the BINFORM_THREADS cap (the implementation is sequential, so
-    any positive cap is satisfied trivially)."""
-    raw = os.environ.get("BINFORM_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        print("warning: ignoring non-integer BINFORM_THREADS", file=sys.stderr)
-        return 1
-    return max(cap, 1)
-
-
 def _emit(payload) -> None:
     print(json.dumps(payload, indent=2))
+
+
+_MAX_DIGITS = 4300
+
+
+def _digits(text: str) -> int:
+    """Digits of the larger of numerator and denominator as written, plus
+    the size of a decimal exponent, counted without building the number."""
+    mantissa, _, exponent = text.replace("_", "").lower().partition("e")
+    digits = max(sum(ch.isdecimal() for ch in part)
+                 for part in mantissa.split("/"))
+    exponent = exponent.strip().lstrip("+-").lstrip("0")
+    if exponent.isdecimal():
+        # six leading digits already exceed the bound
+        digits += int(exponent[:6])
+    return digits
 
 
 def _parse_quintic(text: str) -> BinaryForm:
@@ -60,6 +64,10 @@ def _parse_quintic(text: str) -> BinaryForm:
     if len(parts) != 6:
         raise ValueError(
             f"expected six comma-separated coefficients, got {len(parts)}")
+    for i, part in enumerate(parts):
+        if _digits(part) > _MAX_DIGITS:
+            raise ValueError(
+                f"coefficient a{i} has more than {_MAX_DIGITS} digits")
     try:
         values = [Fraction(p) for p in parts]
     except (ValueError, ZeroDivisionError) as exc:
@@ -262,7 +270,6 @@ def _reorder_argv(argv):
 
 
 def main(argv=None) -> int:
-    _thread_cap()
     if argv is None:
         argv = sys.argv[1:]
     argv = _reorder_argv(list(argv))
@@ -272,6 +279,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help
         return int(exc.code or 0)
+    # results outgrow their inputs (H has degree 18 in the coefficients),
+    # so printing is unbounded; _parse_quintic bounds the inputs instead
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except BrokenPipeError:
@@ -285,6 +296,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # contract: never panic
         print(f"error: internal failure: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

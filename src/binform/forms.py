@@ -9,6 +9,7 @@ numeric form simply has constant coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, perm
 from typing import Sequence
 
@@ -257,17 +258,27 @@ def transvectant(f: BinaryForm, g: BinaryForm, k: int) -> BinaryForm:
     p, q = f.order, g.order
     if k < 0 or k > p or k > q:
         raise ValueError(f"transvectant index {k} out of range for orders {p},{q}")
-    pref = Fraction(factorial(p - k) * factorial(q - k), factorial(p) * factorial(q))
     out = [MPoly.zero(()) for _ in range(p + q - 2 * k + 1)]
-    for i, ai in enumerate(f.coeffs):
-        if ai.is_zero():
-            continue
-        for l, bl in enumerate(g.coeffs):
+    for i, l, weight in _transvectant_weights(p, q, k):
+        ai, bl = f.coeffs[i], g.coeffs[l]
+        if not ai.is_zero() and not bl.is_zero():
+            out[i + l - k] = out[i + l - k] + ai * bl * weight
+    return BinaryForm(out)
+
+
+@lru_cache
+def _transvectant_weights(p: int, q: int, k: int) -> tuple:
+    """The (i, l, weight) of (f, g)_k with a nonzero weight, prefactor
+    included, in the order of ``transvectant``'s sum."""
+    pref = Fraction(factorial(p - k) * factorial(q - k), factorial(p) * factorial(q))
+    out = []
+    for i in range(p + 1):
+        for l in range(q + 1):
             weight = sum((-1) ** j * comb(k, j) * perm(p - i, k - j) * perm(i, j)
                          * perm(q - l, j) * perm(l, k - j) for j in range(k + 1))
-            if weight and not bl.is_zero():
-                out[i + l - k] = out[i + l - k] + ai * bl * (weight * pref)
-    return BinaryForm(out)
+            if weight:
+                out.append((i, l, weight * pref))
+    return tuple(out)
 
 
 def sylvester_matrix(f: BinaryForm, g: BinaryForm) -> PolyMatrix:

@@ -16,9 +16,9 @@ of dicts is equality of polynomials.
 
 from __future__ import annotations
 
-import heapq
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -80,66 +80,6 @@ def _dict_sub(f: dict, g: dict) -> dict:
     for k, c in g.items():
         out[k] = get(k, 0) - c
     return out
-
-
-def _div_rational(a: Coeff, b: Coeff) -> Coeff:
-    return Fraction(a) / b
-
-
-def _div_integer(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError("inexact coefficient division")
-    return q
-
-
-def _dict_exact_div(num: dict, den: dict, nvars: int, integer_mode: bool) -> dict:
-    """Divide num by den, both raw term dicts; the division must be exact.
-
-    Processes the remainder's leading term via a lazy max-heap so the cost
-    is O(|quotient|*|den|) heap updates rather than repeated full scans.
-    """
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not num:
-        return {}
-    div = _div_integer if integer_mode else _div_rational
-    dk0 = max(den)
-    dc0 = den[dk0]
-    den_items = list(den.items())
-    r = dict(num)
-    q: dict = {}
-    heap = [-k for k in r]
-    heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
-    get = r.get
-    while heap:
-        k = -pop(heap)
-        c = get(k)
-        if not c:
-            continue
-        qk = k - dk0
-        if qk < 0 or any((qk >> (i * _BITS)) & _MASK > (k >> (i * _BITS)) & _MASK
-                         for i in range(nvars + 1)):
-            raise ArithmeticError("inexact polynomial division")
-        qc = div(c, dc0)
-        q[qk] = qc
-        for dk, dc in den_items:
-            kk = qk + dk
-            old = get(kk)
-            if old is None:
-                r[kk] = -qc * dc
-                if kk != k:
-                    push(heap, -kk)
-            else:
-                v = old - qc * dc
-                if v:
-                    r[kk] = v
-                else:
-                    del r[kk]
-    if r:
-        raise ArithmeticError("inexact polynomial division")
-    return q
 
 
 def _as_fraction(x) -> Fraction:
@@ -630,6 +570,7 @@ def monic_divrem(f: MPoly, g: MPoly, var: str) -> tuple:
     lead = {k: c for k, c in gt.items() if (k >> sh) & _MASK == dg}
     if lead != {(dg << sh) | (dg << dsh): 1}:
         raise ValueError(f"divisor is not monic in {var!r}")
+    dgt = max(gt) >> dsh
     r = dict(ft)
     q: dict = {}
     while True:
@@ -639,6 +580,7 @@ def monic_divrem(f: MPoly, g: MPoly, var: str) -> tuple:
         # stripping dg from the exponent leaves the quotient term at dr - dg
         qpart = {k - (dg << sh) - (dg << dsh): c
                  for k, c in r.items() if (k >> sh) & _MASK == dr}
+        _check_degree((max(qpart) >> dsh) + dgt)
         for k, c in qpart.items():
             q[k] = q.get(k, 0) + c
         r = {k: c for k, c in _dict_sub(r, _dict_mul(qpart, gt)).items() if c}
@@ -672,80 +614,69 @@ class PolyMatrix:
         return self.entries[i * self.cols + j]
 
 
-def _det_cofactor(grid: list, n: int) -> dict:
-    if n == 1:
-        return dict(grid[0][0])
-    if n == 2:
-        return _dict_sub(_dict_mul(grid[0][0], grid[1][1]),
-                         _dict_mul(grid[0][1], grid[1][0]))
-    # n == 3
-    acc: dict = {}
-    for j in range(3):
-        cols = [c for c in range(3) if c != j]
-        minor = _dict_sub(_dict_mul(grid[1][cols[0]], grid[2][cols[1]]),
-                          _dict_mul(grid[1][cols[1]], grid[2][cols[0]]))
-        part = _dict_mul(grid[0][j], minor)
-        get = acc.get
-        for k, c in part.items():
-            acc[k] = get(k, 0) + c if j != 1 else get(k, 0) - c
-    return acc
-
-
-def _det_bareiss(grid: list, n: int, nvars: int, integer_mode: bool) -> dict:
-    sign = 1
-    prev: dict = {}
-    for k in range(n - 1):
-        if not grid[k][k]:
-            for i in range(k + 1, n):
-                if grid[i][k]:
-                    grid[k], grid[i] = grid[i], grid[k]
-                    sign = -sign
-                    break
-            else:
-                return {}
-        piv = grid[k][k]
-        for i in range(k + 1, n):
-            rik = grid[i][k]
-            row_i = grid[i]
-            row_k = grid[k]
-            for j in range(k + 1, n):
-                num = _dict_mul(piv, row_i[j])
-                if rik and row_k[j]:
-                    num = _dict_sub(num, _dict_mul(rik, row_k[j]))
-                num = {kk: c for kk, c in num.items() if c}
-                if prev:
-                    num = _dict_exact_div(num, prev, nvars, integer_mode)
-                row_i[j] = num
-            row_i[k] = {}
-        prev = piv if len(piv) != 1 or 0 not in piv or piv[0] != 1 else {}
-    out = grid[n - 1][n - 1]
-    if sign < 0:
-        out = {k: -c for k, c in out.items()}
-    return out
 
 
 def det_fraction_free(matrix) -> MPoly:
     """Exact determinant of a square PolyMatrix (or list of rows).
 
-    Uses Bareiss fraction-free elimination with exact polynomial divisions;
-    matrices below 4x4 go through direct cofactor expansion.
+    Expansion by minors, column by column, with every minor cached by its
+    row set (Gentleman & Johnson, ACM TOMS 2(3), 1976).  It never divides
+    polynomials: each row is first scaled by the lcm of its coefficient
+    denominators, so the expansion runs on ints, and only the final result
+    is divided by the product of the scales.  The cost is O(n * 2^n)
+    entry-times-minor products, which suits the sparse Sylvester matrices
+    here (n <= 9) but grows fast beyond them.
     """
     if not isinstance(matrix, PolyMatrix):
         matrix = PolyMatrix.from_rows(matrix)
     if matrix.rows != matrix.cols:
         raise ValueError("determinant of a non-square matrix")
     n = matrix.rows
-    if n == 0:
-        return MPoly.constant(1)
     uni: set = set()
     for e in matrix.entries:
         uni |= set(e._vars)
     vs = tuple(sorted(uni))
-    nvars = len(vs)
-    grid = [[_remap_terms(matrix.entry(i, j)._terms, matrix.entry(i, j)._vars, vs)
-             for j in range(n)] for i in range(n)]
-    if n <= 3:
-        return MPoly(vs, _det_cofactor(grid, n))
-    integer_mode = all(type(c) is int for row in grid for e in row for c in e.values())
-    grid = [[dict(e) for e in row] for row in grid]
-    return MPoly(vs, _det_bareiss(grid, n, nvars, integer_mode))
+    dsh = len(vs) * _BITS
+    grid = []
+    scale = 1
+    for i in range(n):
+        row = [_remap_terms(e._terms, e._vars, vs)
+               for e in matrix.entries[i * n:(i + 1) * n]]
+        m = lcm(*(c.denominator for e in row for c in e.values()))
+        scale *= m
+        grid.append([{k: int(c * m) for k, c in e.items()} for e in row])
+    # row bitmask -> minor on those rows and the leading columns
+    minors = {0: {0: 1}}
+    for j in range(n):
+        nxt: dict = {}
+        # popping frees each minor as soon as it has been used
+        while minors:
+            mask, minor = minors.popitem()
+            dm = max(minor) >> dsh
+            odd = False  # parity of the minor's rows below row i
+            for i in range(n - 1, -1, -1):
+                if mask >> i & 1:
+                    odd = not odd
+                    continue
+                e = grid[i][j]
+                if not e:
+                    continue
+                _check_degree(dm + (max(e) >> dsh))
+                acc = nxt.setdefault(mask | 1 << i, {})
+                get = acc.get
+                for ka, ca in e.items():
+                    if odd:
+                        ca = -ca
+                    for kb, cb in minor.items():
+                        k = ka + kb
+                        acc[k] = get(k, 0) + ca * cb
+        minors = {}
+        while nxt:
+            mask, acc = nxt.popitem()
+            acc = {k: c for k, c in acc.items() if c}
+            if acc:
+                minors[mask] = acc
+    det = minors.get((1 << n) - 1, {})
+    if scale != 1:
+        det = {k: Fraction(c, scale) for k, c in det.items()}
+    return MPoly(vs, det)

@@ -65,6 +65,39 @@ class TestInvariantsCmd:
         assert code == 2
         assert "cannot parse coefficient" in err
 
+    def test_result_beyond_int_str_limit(self):
+        # H has degree 18 in the coefficients: over 5000 digits here
+        big = 7 ** 600
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(["invariants", f"{big + 1},{big + 3},2,3,4,5"])
+        assert code == 0 and err == ""
+        assert sys.get_int_max_str_digits() == limit  # restored after the run
+        form = BinaryForm([big + 1, big + 3, 2, 3, 4, 5])
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = quintic_invariants(form).to_json_dict()
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert json.loads(out) == expected
+        assert len(expected["H"]) > 5000
+
+    def test_coefficient_digit_bound(self):
+        code, _, err = run_cli(["invariants", "1," + "9" * 4301 + ",2,3,4,5"])
+        assert code == 2
+        assert "coefficient a1 has more than 4300 digits" in err
+        code, _, _ = run_cli(["invariants", "1," + "9" * 4300 + ",2,3,4,5"])
+        assert code == 0
+
+    def test_coefficient_exponent_bound(self):
+        for text, name in (("1e100000,1,2,3,4,5", "a0"),
+                           ("1,2,3,4,5,1e-1_00000", "a5"),
+                           ("1,2,3,4.5E+4300,5,6", "a3")):
+            code, _, err = run_cli(["invariants", text])
+            assert code == 2
+            assert f"coefficient {name} has more than 4300 digits" in err
+        code, _, _ = run_cli(["invariants", "1e4299,1,2,3,4,5"])
+        assert code == 0
+
 
 class TestBeauvilleCmd:
     def test_closed_form_route(self):
@@ -245,18 +278,6 @@ class TestDeterminismAndEnvironment:
         first = run_cli(["beauville", FORM_B])
         second = run_cli(["beauville", FORM_B])
         assert first == second
-
-    def test_thread_cap_accepts_integer(self, monkeypatch):
-        monkeypatch.setenv("BINFORM_THREADS", "4")
-        code, out, err = run_cli(["verify", "dims"])
-        assert code == 0
-        assert "warning" not in err
-
-    def test_thread_cap_warns_on_garbage(self, monkeypatch):
-        monkeypatch.setenv("BINFORM_THREADS", "lots")
-        code, out, err = run_cli(["verify", "dims"])
-        assert code == 0  # still runs, single-threaded
-        assert "BINFORM_THREADS" in err
 
     def test_no_subcommand_is_usage_error(self):
         code, _, err = run_cli([])

@@ -201,6 +201,18 @@ class TestExponentOverflow:
         with pytest.raises(OverflowError):
             MPoly.from_terms(("x", "y"), {(40000, 30000): 1})
 
+    def test_det_fraction_free(self):
+        with pytest.raises(OverflowError):
+            det_fraction_free([[X ** 40000, 0], [0, X ** 30000]])
+        assert det_fraction_free([[X ** 40000, 0], [0, X ** 25535]]) == X ** 65535
+
+    def test_monic_divrem(self):
+        lam, y = MPoly.variable("lam"), MPoly.variable("y")
+        with pytest.raises(OverflowError):
+            monic_divrem(lam ** 2, lam + y ** 65535, "lam")
+        q, r = monic_divrem(lam ** 2, lam + y ** 30000, "lam")
+        assert q * (lam + y ** 30000) + r == lam ** 2
+
     def test_parse_poly(self):
         with pytest.raises(OverflowError):
             parse_poly("x^65536")
