@@ -3,8 +3,8 @@
 Removing one root lam of a monic quintic leaves a quartic; its invariant pair
 (S, T) turns the j-data of that four-root configuration into the linear
 polynomial  phi(lam) = (S^3 - 27 T^2) z - S^3.  Reducing phi modulo the
-quintic and eliminating lam with a Sylvester resultant yields a quintic in z
-whose six coefficients, rehomogenized, are degree-24 invariants b0..b5 of the
+quintic and eliminating lam with a resultant yields a quintic in z whose
+six coefficients, rehomogenized, are degree-24 invariants b0..b5 of the
 original form.  This module builds that pipeline exactly over the rationals,
 decomposes the results in the monomial basis of the J, K, L subring, checks
 the expected closed forms and the rank of the degree-48 product matrix, and
@@ -47,7 +47,6 @@ __all__ = [
     "same_j_data",
 ]
 
-_PIPELINE_SCALE = 6912          # 2**8 * 3**3: clears the denominators of phi
 _COEFF_NAMES = ("a0", "a1", "a2", "a3", "a4", "a5")
 
 
@@ -286,8 +285,10 @@ class TschirnhausTrace:
     phi_bar   phi reduced modulo the monic quintic, degree <= 4 in lam
     r_bar     the resultant in lam of the quintic and phi_bar: a quintic in z
 
-    When the input needed preparation (leading coefficient zero, cured by a
-    determinant-one shear), the trace describes the prepared form.
+    Each is the exact value itself, never a rescaled copy: the pipeline
+    reads the six entries straight from r_bar.  When the input needed
+    preparation (leading coefficient zero, cured by a determinant-one
+    shear), the trace describes the prepared form.
     """
 
     __slots__ = ("q_coeffs", "phi", "phi_bar", "r_bar")
@@ -342,29 +343,18 @@ def _horner_quintic(tail, lam):
     return value
 
 
-def _core_pipeline(tail):
+def _core_pipeline(tail) -> TschirnhausTrace:
     """Run the resultant pipeline for a monic quintic with coefficient tail
     (a1..a5): rationals in numeric mode, coefficient symbols in symbolic
-    mode.  Returns (r_scaled, trace): the integer-scaled resultant and the
-    audit trace carrying the unscaled intermediates."""
+    mode.  The trace's r_bar is the resultant the entries are read from."""
     lam = MPoly.variable("lam")
     quartic = quartic_of_root(tail[:4], lam)
     phi = build_phi(quartic, "z")
-    phi_scaled = phi * _PIPELINE_SCALE
-    f_lam = _horner_quintic(tail, lam)
-    _, phibar_scaled = monic_divrem(phi_scaled, f_lam, "lam")
-
-    f_form = BinaryForm([1, *tail])
-    phibar_form = BinaryForm(
-        [phibar_scaled.coefficient("lam", 4 - i) for i in range(5)])
-    r_scaled = resultant(f_form, phibar_form)
-
-    trace = TschirnhausTrace(
-        quartic.binomial_coeffs(),
-        phi,
-        phibar_scaled * Fraction(1, _PIPELINE_SCALE),
-        r_scaled * Fraction(1, _PIPELINE_SCALE ** 5))
-    return r_scaled, trace
+    _, phi_bar = monic_divrem(phi, _horner_quintic(tail, lam), "lam")
+    r_bar = resultant(
+        BinaryForm([1, *tail]),
+        BinaryForm([phi_bar.coefficient("lam", 4 - i) for i in range(5)]))
+    return TschirnhausTrace(quartic.binomial_coeffs(), phi, phi_bar, r_bar)
 
 
 def _rehomogenize(poly: MPoly, var: str, total_degree: int) -> MPoly:
@@ -428,10 +418,10 @@ def beauville_pipeline(quintic: BinaryForm):
                     break
         lead = working[0]
         tail = [Fraction(v) / lead for v in working[1:]]
-        r_scaled, trace = _core_pipeline(tail)
-        scale = Fraction(lead ** 24, _PIPELINE_SCALE ** 5)
+        trace = _core_pipeline(tail)
+        scale = lead ** 24
         entries = [
-            scale * r_scaled.coefficient("z", 5 - i).constant_value()
+            scale * trace.r_bar.coefficient("z", 5 - i).constant_value()
             for i in range(6)]
         return BeauvilleVector(entries), trace
 
@@ -451,12 +441,9 @@ def beauville_pipeline(quintic: BinaryForm):
         raise TypeError("leading coefficient symbol reused in the tail")
 
     tail = [MPoly.variable(n) for n in tail_names]
-    r_scaled, trace = _core_pipeline(tail)
-    scale = Fraction(1, _PIPELINE_SCALE ** 5)
-    entries = []
-    for i in range(6):
-        piece = r_scaled.coefficient("z", 5 - i) * scale
-        entries.append(_rehomogenize(piece, lead_name, 24))
+    trace = _core_pipeline(tail)
+    entries = [_rehomogenize(trace.r_bar.coefficient("z", 5 - i), lead_name, 24)
+               for i in range(6)]
     return BeauvilleVector(entries), trace
 
 

@@ -141,7 +141,13 @@ def _cmd_dim(args) -> int:
     return 0
 
 
+_MAX_BASIS = 10 ** 6
+
+
 def _cmd_basis(args) -> int:
+    if graded_dimension(args.degree) > _MAX_BASIS:
+        raise ValueError(
+            f"basis larger than the limit of {_MAX_BASIS} monomials")
     basis = monomial_basis(args.degree)
     if args.json:
         _emit({"degree": args.degree,

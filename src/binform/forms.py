@@ -282,7 +282,11 @@ def _transvectant_weights(p: int, q: int, k: int) -> tuple:
 
 
 def sylvester_matrix(f: BinaryForm, g: BinaryForm) -> PolyMatrix:
-    """The (p+q)x(p+q) Sylvester matrix of the coefficient vectors."""
+    """The (p+q)x(p+q) Sylvester matrix of the coefficient vectors.
+
+    ``resultant`` does not build it; it is the independent second route
+    that the tests check the resultant against.
+    """
     p, q = f.order, g.order
     if p == 0 or q == 0:
         raise ValueError("resultant needs two forms of positive order")
@@ -298,8 +302,47 @@ def sylvester_matrix(f: BinaryForm, g: BinaryForm) -> PolyMatrix:
 
 
 def resultant(f: BinaryForm, g: BinaryForm) -> MPoly:
-    """Resultant as the Sylvester determinant of the coefficient vectors."""
-    return det_fraction_free(sylvester_matrix(f, g))
+    """The resultant det(sylvester_matrix(f, g)), taken as the determinant
+    of the max(p, q)-square hybrid Bezout matrix.
+
+    With F(x) = sum_i a_i x^(p-i) and G(x) = sum_i b_i x^(q-i), p >= q, the
+    matrix has p columns, column c holding the coefficient of x^(p-1-c),
+    and these rows, top to bottom:
+
+    - P_q, ..., P_1, where P_k = x^(p-q) B_k G - A_k F with
+      A_k = b_0 x^(k-1) + ... + b_(k-1) and B_k = a_0 x^(k-1) + ... + a_(k-1).
+      The coefficients of P_k from x^p up cancel identically, and
+      P_k = x P_(k-1) + a_(k-1) x^(p-q) G - b_(k-1) F, so entry c of P_k
+      is entry c + 1 of P_(k-1) plus a_(k-1) b_(c+1) - b_(k-1) a_(c+1);
+    - x^(p-q-1) G, ..., x G, G.
+
+    Its determinant equals the Sylvester determinant as a polynomial
+    identity in the a and b, so zero leading coefficients need no special
+    case, and no division enters.  When p < q the forms are swapped, and
+    Res(f, g) = (-1)^(pq) Res(g, f) restores the sign.  For the generic
+    quintic's pipeline (p = 5, q = 4) this is a 5x5 determinant instead of
+    a 9x9 one.
+    """
+    p, q = f.order, g.order
+    if p == 0 or q == 0:
+        raise ValueError("resultant needs two forms of positive order")
+    sign = 1
+    if p < q:
+        f, g, p, q = g, f, q, p
+        sign = (-1) ** (p * q)
+    a, b = f.coeffs, g.coeffs
+    zero = MPoly.zero(())
+    bezout = []
+    row = [zero] * p
+    for k in range(q):
+        row = [(row[c + 1] if c + 1 < p else zero)
+               + (a[k] * b[c + 1] if c < q else zero) - b[k] * a[c + 1]
+               for c in range(p)]
+        bezout.append(row)
+    rows = bezout[::-1] + [[zero] * j + list(b) + [zero] * (p - q - 1 - j)
+                           for j in range(p - q)]
+    det = det_fraction_free(rows)
+    return det if sign == 1 else -det
 
 
 def discriminant(form: BinaryForm) -> MPoly:

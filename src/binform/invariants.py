@@ -300,18 +300,15 @@ def _check_graded_degree(d: int) -> None:
 def graded_dimension(d: int) -> int:
     """Dimension of the space of degree-d quintic invariants.
 
-    Computed as the partition-count sum nu(0) + ... + nu(d/4) with
-    nu(k) = floor(k/6) when k = 1 mod 6 and floor(k/6) + 1 otherwise;
-    for d = 24*l this equals 3*l**2 + 3*l + 1.
+    This is the partition-count sum nu(0) + ... + nu(m), m = d/4, with
+    nu(k) = floor(k/6) when k = 1 mod 6 and floor(k/6) + 1 otherwise,
+    summed in closed form: with m + 1 = 6q + r, 0 <= r < 6, the floors add
+    up to 3q(q - 1) + rq, and the ones to 5q + r, less one when r >= 2.
+    For d = 24*l this equals 3*l**2 + 3*l + 1.
     """
     _check_graded_degree(d)
-    total = 0
-    for k in range(d // 4 + 1):
-        nu = k // 6
-        if k % 6 != 1:
-            nu += 1
-        total += nu
-    return total
+    q, r = divmod(d // 4 + 1, 6)
+    return 3 * q * (q - 1) + r * q + 5 * q + r - (1 if r >= 2 else 0)
 
 
 def monomial_basis(d: int) -> list:
@@ -424,8 +421,9 @@ def verify_disc(samples: int = 20, seed: int = 0) -> dict:
 def verify_dims() -> dict:
     """Check the graded dimensions through all three routes.
 
-    For l = 1..5 (degrees 24..120) the partition-count sum, the closed form
-    3*l**2 + 3*l + 1, and the enumerated monomial basis must agree; the
+    For l = 1..5 (degrees 24..120) the partition-count sum (summed in
+    closed form by ``graded_dimension``), the closed form 3*l**2 + 3*l + 1,
+    and the enumerated monomial basis must agree; the
     degree-24/48/72 values are additionally pinned to 7, 19, 37.
     """
     pinned = {24: 7, 48: 19, 72: 37}

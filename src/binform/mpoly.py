@@ -324,7 +324,12 @@ class MPoly:
         """Simultaneous substitution of polynomials (or scalars) for variables.
 
         Bindings for variables outside the universe are inert.  Unbound
-        variables pass through unchanged.
+        variables pass through unchanged.  A monomial binding (one term, a
+        scalar, or 0) moves each term's key and scales its coefficient,
+        without multiplying polynomials.  The terms are then grouped by
+        their exponents in the variables bound to polynomials of two or
+        more terms, and each group is multiplied once by its product of
+        binding powers.
         """
         bound = {}
         for v, b in bindings.items():
@@ -341,30 +346,49 @@ class MPoly:
         growth = {v: max(b.total_degree(), 0) - 1 for v, b in bound.items()}
         bound_aligned = {v: _remap_terms(b._terms, b._vars, target)
                          for v, b in bound.items()}
-        pow_cache: dict = {v: [{0: 1}] for v in bound}
+        # variable -> (key, coefficient) of a one-term binding, or None for
+        # a binding to 0
+        monomial = {v: next(iter(t.items()), None)
+                    for v, t in bound_aligned.items() if len(t) <= 1}
+        polynomial = tuple(v for v in bound if v not in monomial)
         keep_table = _remap_table(self._vars, target)
         shifts = {v: self._shift(v) for v in bound}
         dsh = self._n * _BITS
-        acc: dict = {}
+        # exponents in the polynomial-bound variables -> remapped terms
+        groups: dict = {}
         for k, c in self._terms.items():
             base = k
             degree = k >> dsh
+            exps = {}
             for v, sh in shifts.items():
-                e = (k >> sh) & _MASK
+                e = exps[v] = (k >> sh) & _MASK
                 base -= (e << sh) + (e << dsh)
                 degree += e * growth[v]
             _check_degree(degree)
-            cur = {_remap_key(base, self._n, keep_table): c}
-            for v, sh in shifts.items():
-                e = (k >> sh) & _MASK
+            key = _remap_key(base, self._n, keep_table)
+            for v, image in monomial.items():
+                e = exps[v]
                 if not e:
                     continue
+                if image is None:
+                    break
+                mkey, mcoeff = image
+                key += e * mkey
+                c = c * mcoeff ** e
+            else:
+                group = groups.setdefault(tuple(exps[v] for v in polynomial), {})
+                group[key] = group.get(key, 0) + c
+        pow_cache = {v: [{0: 1}] for v in polynomial}
+        acc: dict = {}
+        get = acc.get
+        for exps, group in groups.items():
+            product = {0: 1}
+            for v, e in zip(polynomial, exps):
                 cache = pow_cache[v]
                 while len(cache) <= e:
                     cache.append(_dict_mul(cache[-1], bound_aligned[v]))
-                cur = _dict_mul(cur, cache[e])
-            get = acc.get
-            for kk, cc in cur.items():
+                product = _dict_mul(product, cache[e])
+            for kk, cc in _dict_mul(group, product).items():
                 acc[kk] = get(kk, 0) + cc
         return MPoly(target, acc)
 
@@ -624,8 +648,10 @@ def det_fraction_free(matrix) -> MPoly:
     polynomials: each row is first scaled by the lcm of its coefficient
     denominators, so the expansion runs on ints, and only the final result
     is divided by the product of the scales.  The cost is O(n * 2^n)
-    entry-times-minor products, which suits the sparse Sylvester matrices
-    here (n <= 9) but grows fast beyond them.
+    entry-times-minor products, which suits the matrices its callers build
+    (``resultant``'s Bezout matrices are max(p, q)-square: 4x4 for the
+    discriminant of a quintic, 5x5 for the quintic pipeline) but grows fast
+    beyond them.
     """
     if not isinstance(matrix, PolyMatrix):
         matrix = PolyMatrix.from_rows(matrix)

@@ -213,6 +213,43 @@ class TestDimBasisDecompose48:
         assert json.loads(out) == {"degree": 12,
                                    "basis": [[1, 0, 0], [0, 1, 1], [0, 0, 3]]}
 
+    def test_dim_of_a_4001_digit_degree(self):
+        ell = 10 ** 3999
+        code, out, _ = run_cli(["dim", str(24 * ell)])
+        assert code == 0
+        # the answer has 7999 digits, beyond this interpreter's int limit
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert int(out) == 3 * ell ** 2 + 3 * ell + 1
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_dim_rejects_a_degree_beyond_the_int_limit(self):
+        code, out, err = run_cli(["dim", "4" + "0" * 4300])
+        assert code == 2
+        assert out == ""
+        assert "invalid int value" in err
+
+    @pytest.mark.parametrize("degree", ["13848", "100000000"])
+    def test_basis_beyond_the_limit_exits_before_enumerating(
+            self, degree, monkeypatch):
+        # 13844 is the largest degree with at most 10**6 basis monomials
+        def enumerate_basis(d):
+            raise AssertionError("basis enumerated")
+
+        monkeypatch.setattr("binform.cli.monomial_basis", enumerate_basis)
+        for argv in (["basis", degree], ["basis", degree, "--json"]):
+            code, out, err = run_cli(argv)
+            assert code == 2
+            assert out == ""
+            assert err == ("error: basis larger than the limit of 1000000"
+                           " monomials\n")
+
+    def test_basis_limit_is_the_graded_dimension(self):
+        from binform.invariants import graded_dimension
+        assert graded_dimension(13844) <= 10 ** 6 < graded_dimension(13848)
+
     def test_decompose48_single_factor(self):
         code, out, _ = run_cli(["decompose48", "4", "0", "0"])
         assert code == 0

@@ -1,4 +1,5 @@
-"""Differential tests: the determinant and the resultant against sympy.
+"""Differential tests: the determinant, the resultant and substitution
+against sympy, and the resultant against the Sylvester determinant.
 
 hypothesis draws the inputs under a derandomized profile, so every run
 checks the same examples.
@@ -19,7 +20,6 @@ settings.register_profile(
 DIFFERENTIAL = settings.get_profile("differential")
 
 NAMES = ("x", "y", "z")
-SYMBOLS = sympy.symbols(NAMES)
 VARIABLES = [MPoly.variable(v) for v in NAMES]
 
 integers = st.integers(-9, 9)
@@ -39,7 +39,7 @@ def monomial_sums(draw, coefficients=rationals):
 
 
 def to_sympy(f: MPoly):
-    symbols = [SYMBOLS[NAMES.index(v)] for v in f.variables]
+    symbols = [sympy.Symbol(v) for v in f.variables]
     return sympy.Add(*(
         sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
         * sympy.Mul(*(s ** e for s, e in zip(symbols, exps)))
@@ -127,3 +127,71 @@ def test_resultant_matches_sympy(data):
     res = resultant(f, g)
     assert sympy.expand(to_sympy(res) - expected) == 0
     assert resultant(g, f) == res * (-1) ** (p * q)
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_resultant_equals_sylvester_determinant(data):
+    # the Bezout route against the Sylvester route, for every pair of
+    # orders up to 6, with zero leading and trailing coefficients drawn on
+    # purpose
+    p = data.draw(st.integers(1, 6))
+    q = data.draw(st.integers(1, 6))
+    kinds = (integers, rationals)
+    if p + q <= 6:
+        kinds += (monomial_sums(integers),)
+    coefficients = data.draw(st.sampled_from(kinds))
+    pair = []
+    for order in (p, q):
+        coeffs = data.draw(st.lists(coefficients, min_size=order + 1,
+                                    max_size=order + 1))
+        for end in (0, -1):
+            if data.draw(st.booleans()):
+                coeffs[end] = 0
+        pair.append(BinaryForm(coeffs))
+    f, g = pair
+    assert resultant(f, g) == det_fraction_free(sylvester_matrix(f, g))
+
+
+OUTSIDE = "w"       # a variable no drawn polynomial has
+
+
+@st.composite
+def polynomials(draw, names, max_terms):
+    """Sums of terms with rational coefficients, exponents at most 3."""
+    out = MPoly.zero(names)
+    for _ in range(draw(st.integers(0, max_terms))):
+        term = MPoly.constant(draw(rationals))
+        for v in names:
+            term = term * MPoly.variable(v) ** draw(st.integers(0, 3))
+        out = out + term
+    return out
+
+
+# a binding: a scalar, zero, a one-term polynomial, or a sum of two or
+# three terms, over the polynomial's own variables and one outside them
+BINDINGS = st.one_of(
+    rationals,
+    st.sampled_from((0, MPoly.zero(NAMES))),
+    polynomials(NAMES + (OUTSIDE,), 1),
+    polynomials(NAMES + (OUTSIDE,), 3).filter(lambda b: len(b) >= 2))
+
+
+def scalar_or_poly_to_sympy(b):
+    if isinstance(b, MPoly):
+        return to_sympy(b)
+    return sympy.Rational(b.numerator, b.denominator)
+
+
+@DIFFERENTIAL
+@given(polynomials(NAMES, 6),
+       st.dictionaries(st.sampled_from(NAMES + (OUTSIDE,)), BINDINGS))
+def test_substitute_matches_sympy(f, bindings):
+    got = f.substitute(bindings)
+    expected = to_sympy(f).subs(
+        {sympy.Symbol(v): scalar_or_poly_to_sympy(b)
+         for v, b in bindings.items()}, simultaneous=True)
+    assert sympy.expand(to_sympy(got) - expected) == 0
+    # a binding outside the universe changes nothing
+    if OUTSIDE in bindings:
+        assert f.substitute({OUTSIDE: bindings[OUTSIDE]}) == f

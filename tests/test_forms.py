@@ -19,7 +19,8 @@ from binform.forms import (
     transvectant,
     weight_of,
 )
-from binform.mpoly import MPoly
+from binform import forms
+from binform.mpoly import MPoly, det_fraction_free
 
 
 def random_group_element(rng, bound=5):
@@ -304,6 +305,46 @@ class TestResultant:
         f = BinaryForm([1, 0, -t])
         g = BinaryForm([0, 1, 0])
         assert resultant(f, g) == -t
+
+
+class TestResultantAgainstSylvester:
+    # resultant takes the max(p, q)-square hybrid Bezout determinant; the
+    # Sylvester determinant is the independent second route (numeric forms
+    # are drawn in tests/test_differential.py)
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_generic_forms(self, p):
+        for q in range(1, 7):
+            f, g = generic_form(p, "a"), generic_form(q, "b")
+            assert resultant(f, g) == det_fraction_free(sylvester_matrix(f, g))
+
+    @pytest.mark.parametrize("zeros", [((0,), ()), ((), (0,)), ((-1,), ()),
+                                       ((), (-1,)), ((0,), (0,)),
+                                       ((0, -1), (-1,))])
+    def test_zero_leading_and_trailing_coefficients(self, zeros):
+        for p in range(1, 7):
+            for q in range(1, 7):
+                f, g = generic_form(p, "a"), generic_form(q, "b")
+                fc, gc = list(f.coeffs), list(g.coeffs)
+                for i in zeros[0]:
+                    fc[i] = 0
+                for i in zeros[1]:
+                    gc[i] = 0
+                f, g = BinaryForm(fc), BinaryForm(gc)
+                assert resultant(f, g) == det_fraction_free(
+                    sylvester_matrix(f, g))
+
+    def test_determinant_is_max_order_square(self, monkeypatch):
+        sizes = []
+
+        def det(rows):
+            sizes.append((len(rows), {len(row) for row in rows}))
+            return det_fraction_free(rows)
+
+        monkeypatch.setattr(forms, "det_fraction_free", det)
+        for p, q in ((5, 4), (4, 5), (3, 3), (6, 1), (1, 6)):
+            resultant(generic_form(p, "a"), generic_form(q, "b"))
+        assert sizes == [(5, {5}), (5, {5}), (3, {3}), (6, {6}), (6, {6})]
 
 
 class TestDiscriminant:

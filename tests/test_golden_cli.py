@@ -45,6 +45,7 @@ CASES = {
     "verify_disc": (["verify", "disc"], 0),
     "verify_prop48": (["verify", "prop48"], 0),
     "verify_dims": (["verify", "dims"], 0),
+    "verify_keyprop": (["verify", "keyprop"], 0),
 }
 
 

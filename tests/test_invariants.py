@@ -324,6 +324,19 @@ class TestGradedDimensions:
         for ell in range(1, 9):
             assert graded_dimension(24 * ell) == 3 * ell ** 2 + 3 * ell + 1
 
+    def test_closed_form_matches_the_nu_sum(self):
+        for degree in range(4, 4001, 4):
+            total = 0
+            for k in range(degree // 4 + 1):
+                total += k // 6 + (0 if k % 6 == 1 else 1)
+            assert graded_dimension(degree) == total
+
+    def test_huge_degree_in_constant_time(self):
+        ell = 10 ** 3999
+        assert graded_dimension(24 * ell) == 3 * ell ** 2 + 3 * ell + 1
+        with pytest.raises(ValueError, match="multiple of 4"):
+            graded_dimension(24 * ell + 2)
+
     def test_basis_counts_match_dimension(self):
         for degree in range(4, 100, 4):
             basis = monomial_basis(degree)

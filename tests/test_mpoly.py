@@ -195,6 +195,21 @@ class TestExponentOverflow:
         with pytest.raises(OverflowError):
             f.substitute({"x": X * Y})
 
+    def test_substitute_each_kind_of_binding(self):
+        f = X ** 2 * Y + Z
+        # a one-term binding, applied as a key remap
+        assert f.substitute({"x": X ** 32767, "y": Z}).total_degree() == 65535
+        with pytest.raises(OverflowError):
+            f.substitute({"x": X ** 32767 * Y})
+        # a binding of several terms, expanded per group
+        assert f.substitute({"x": X ** 32767 + Y}).total_degree() == 65535
+        with pytest.raises(OverflowError):
+            f.substitute({"x": X ** 32767 * Y + 1})
+        # a scalar or 0 lowers the degree
+        g = X ** 40000 * Y ** 25535
+        assert g.substitute({"y": 3}) == 3 ** 25535 * X ** 40000
+        assert g.substitute({"y": 0}).is_zero()
+
     def test_from_terms(self):
         with pytest.raises(OverflowError):
             MPoly.from_terms(("x",), {(65536,): 1})
