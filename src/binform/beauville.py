@@ -27,7 +27,7 @@ from .invariants import (
     sylvester_invariants,
     SylvesterPoint,
 )
-from .mpoly import MPoly, monic_divrem
+from .mpoly import MPoly, _as_exact, _as_fraction, monic_divrem
 
 __all__ = [
     "JKLPolynomial",
@@ -97,7 +97,7 @@ class JKLPolynomial:
             a1, a2, a3 = triple
             if a1 < 0 or a2 < 0 or a3 < 0:
                 raise ValueError("negative exponent in JKL monomial")
-            value = Fraction(value)
+            value = _as_fraction(value)
             if value:
                 key = (int(a1), int(a2), int(a3))
                 clean[key] = clean.get(key, Fraction(0)) + value
@@ -143,7 +143,7 @@ class JKLPolynomial:
                       if self.degree is not None and other.degree is not None
                       else None)
             return JKLPolynomial(out, degree)
-        scalar = Fraction(other)
+        scalar = _as_fraction(other)
         return JKLPolynomial({k: c * scalar for k, c in self.terms.items()},
                              self.degree)
 
@@ -242,8 +242,7 @@ class BeauvilleVector:
         entries = tuple(entries)
         if len(entries) != 6:
             raise ValueError("a Beauville vector has six entries")
-        self.b = tuple(
-            e if isinstance(e, MPoly) else Fraction(e) for e in entries)
+        self.b = tuple(_as_exact(e) for e in entries)
 
     def __iter__(self):
         return iter(self.b)
@@ -265,9 +264,7 @@ class BeauvilleVector:
     def __eq__(self, other):
         if not isinstance(other, BeauvilleVector):
             return NotImplemented
-        return all(
-            (x - y).is_zero() if isinstance(x - y, MPoly) else x == y
-            for x, y in zip(self.b, other.b))
+        return self.b == other.b
 
     def __hash__(self):
         return hash((BeauvilleVector,) + tuple(str(v) for v in self.b))
@@ -354,6 +351,9 @@ def _core_pipeline(tail) -> TschirnhausTrace:
     r_bar = resultant(
         BinaryForm([1, *tail]),
         BinaryForm([phi_bar.coefficient("lam", 4 - i) for i in range(5)]))
+    # a fivefold root makes r_bar zero, and a zero built from constant
+    # coefficients has no z in its universe
+    r_bar = r_bar.in_universe(set(r_bar.variables) | {"z"})
     return TschirnhausTrace(quartic.binomial_coeffs(), phi, phi_bar, r_bar)
 
 
@@ -383,17 +383,6 @@ def _symbol_name(poly: MPoly):
     return None
 
 
-def _numeric_coeffs(form: BinaryForm):
-    """Constant coefficient values, or None when any coefficient is symbolic."""
-    values = []
-    for c in form.coeffs:
-        try:
-            values.append(c.constant_value())
-        except ValueError:
-            return None
-    return values
-
-
 def beauville_pipeline(quintic: BinaryForm):
     """Compute the six degree-24 invariants by the resultant route.
 
@@ -405,19 +394,17 @@ def beauville_pipeline(quintic: BinaryForm):
     with the TschirnhausTrace of intermediates.
     """
     _require_quintic(quintic, "beauville_pipeline")
-    values = _numeric_coeffs(quintic)
-    if values is not None:
-        if all(v == 0 for v in values):
+    if not any(isinstance(c, MPoly) for c in quintic.coeffs):
+        if quintic.is_zero():
             raise ValueError("cannot normalize the zero form")
-        working = values
+        working = quintic.coeffs
         if working[0] == 0:
             for c in range(1, 7):
-                sheared = act(GroupElement(1, 0, c, 1), quintic)
-                working = _numeric_coeffs(sheared)
+                working = act(GroupElement(1, 0, c, 1), quintic).coeffs
                 if working[0] != 0:
                     break
         lead = working[0]
-        tail = [Fraction(v) / lead for v in working[1:]]
+        tail = [v / lead for v in working[1:]]
         trace = _core_pipeline(tail)
         scale = lead ** 24
         entries = [
@@ -433,7 +420,7 @@ def beauville_pipeline(quintic: BinaryForm):
             "symbolic pipeline needs five distinct coefficient symbols"
             " after the leading coefficient")
     if lead_name is None:
-        if quintic.coeffs[0].constant_value() != 1:
+        if quintic.coeffs[0] != 1:
             raise TypeError(
                 "symbolic pipeline needs leading coefficient 1 or a symbol")
         lead_name = "a0"

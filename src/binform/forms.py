@@ -1,9 +1,11 @@
 """Binary forms, the GL2 action, transvectants, resultants, discriminants.
 
 A binary form of order p is F(x) = sum_i a_i x1^(p-i) x2^i with no
-binomial factors in the coefficients.  Coefficients are MPoly values, so
-generic (symbolic) and specialised (numeric) forms share one type; a
-numeric form simply has constant coefficients.
+binomial factors in the coefficients.  Each coefficient is a Fraction or a
+non-constant MPoly: numbers and constant MPolys become Fractions, so a
+numeric form is a vector of rationals and a generic (symbolic) one holds
+polynomials in its coefficient symbols.  The routines below need only
+``+``, ``*`` and truth-testing, which both types support.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from functools import lru_cache
 from math import comb, factorial, perm
 from typing import Sequence
 
-from .mpoly import MPoly, PolyMatrix, Scalar, det_fraction_free
+from .mpoly import (MPoly, PolyMatrix, Scalar, _as_exact, _as_fraction,
+                    det_fraction_free)
 
 __all__ = [
     "BinaryForm", "GroupElement", "CovariantMeta",
@@ -22,20 +25,16 @@ __all__ = [
 ]
 
 
-def _as_mpoly(x) -> MPoly:
-    return x if isinstance(x, MPoly) else MPoly.constant(x)
-
-
 class GroupElement:
     """An invertible 2x2 matrix with exact rational entries."""
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: Scalar, b: Scalar, c: Scalar, d: Scalar):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.c = Fraction(c)
-        self.d = Fraction(d)
+        self.a = _as_fraction(a)
+        self.b = _as_fraction(b)
+        self.c = _as_fraction(c)
+        self.d = _as_fraction(d)
         if self.det == 0:
             raise ValueError("singular matrix is not a group element")
 
@@ -100,12 +99,13 @@ def weight_of(degree: int, source_order: int, order: int) -> int:
 
 
 class BinaryForm:
-    """A binary form, stored as its ordered coefficient vector."""
+    """A binary form, stored as its ordered coefficient vector: each
+    coefficient a Fraction or a non-constant MPoly."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence):
-        cs = tuple(_as_mpoly(c) for c in coeffs)
+        cs = tuple(_as_exact(c) for c in coeffs)
         if not cs:
             raise ValueError("a form needs at least one coefficient")
         self.coeffs = cs
@@ -115,7 +115,7 @@ class BinaryForm:
         return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.coeffs)
 
     @classmethod
     def from_binomial_quartic(cls, q0, q1, q2, q3, q4) -> "BinaryForm":
@@ -123,7 +123,7 @@ class BinaryForm:
 
         q0 x1^4 + 4 q1 x1^3 x2 + 6 q2 x1^2 x2^2 + 4 q3 x1 x2^3 + q4 x2^4.
         """
-        q1, q2, q3 = _as_mpoly(q1), _as_mpoly(q2), _as_mpoly(q3)
+        q1, q2, q3 = _as_exact(q1), _as_exact(q2), _as_exact(q3)
         return cls([q0, 4 * q1, 6 * q2, 4 * q3, q4])
 
     def binomial_coeffs(self) -> tuple:
@@ -155,20 +155,22 @@ class BinaryForm:
     def diff_x1(self) -> "BinaryForm":
         p = self.order
         if p == 0:
-            return BinaryForm([MPoly.zero(())])
+            return BinaryForm([0])
         return BinaryForm([(p - i) * self.coeffs[i] for i in range(p)])
 
     def diff_x2(self) -> "BinaryForm":
         p = self.order
         if p == 0:
-            return BinaryForm([MPoly.zero(())])
+            return BinaryForm([0])
         return BinaryForm([(i + 1) * self.coeffs[i + 1] for i in range(p)])
 
     def evaluate(self, x1: Scalar, x2: Scalar):
-        x1 = Fraction(x1)
-        x2 = Fraction(x2)
+        """F(x1, x2) at rational x1, x2: a Fraction on a numeric form, an
+        MPoly in the coefficient symbols otherwise."""
+        x1 = _as_fraction(x1)
+        x2 = _as_fraction(x2)
         p = self.order
-        acc = MPoly.zero(())
+        acc = 0
         for i, c in enumerate(self.coeffs):
             acc = acc + c * (x1 ** (p - i) * x2 ** i)
         return acc
@@ -176,9 +178,9 @@ class BinaryForm:
     def __mul__(self, other):
         if isinstance(other, BinaryForm):
             p, q = self.order, other.order
-            out = [MPoly.zero(()) for _ in range(p + q + 1)]
+            out = [0] * (p + q + 1)
             for i, ci in enumerate(self.coeffs):
-                if ci.is_zero():
+                if not ci:
                     continue
                 for j, cj in enumerate(other.coeffs):
                     out[i + j] = out[i + j] + ci * cj
@@ -224,9 +226,9 @@ def act(g: GroupElement, form: BinaryForm) -> BinaryForm:
         prev = pow2[-1]
         pow2.append([(prev[i] if i < len(prev) else 0) * h.c +
                      (prev[i - 1] if i >= 1 else 0) * h.d for i in range(k + 1)])
-    out = [MPoly.zero(()) for _ in range(p + 1)]
+    out = [0] * (p + 1)
     for i, ci in enumerate(form.coeffs):
-        if ci.is_zero():
+        if not ci:
             continue
         v1 = pow1[p - i]
         v2 = pow2[i]
@@ -258,10 +260,10 @@ def transvectant(f: BinaryForm, g: BinaryForm, k: int) -> BinaryForm:
     p, q = f.order, g.order
     if k < 0 or k > p or k > q:
         raise ValueError(f"transvectant index {k} out of range for orders {p},{q}")
-    out = [MPoly.zero(()) for _ in range(p + q - 2 * k + 1)]
+    out = [0] * (p + q - 2 * k + 1)
     for i, l, weight in _transvectant_weights(p, q, k):
         ai, bl = f.coeffs[i], g.coeffs[l]
-        if not ai.is_zero() and not bl.is_zero():
+        if ai and bl:
             out[i + l - k] = out[i + l - k] + ai * bl * weight
     return BinaryForm(out)
 
@@ -291,12 +293,11 @@ def sylvester_matrix(f: BinaryForm, g: BinaryForm) -> PolyMatrix:
     if p == 0 or q == 0:
         raise ValueError("resultant needs two forms of positive order")
     n = p + q
-    zero = MPoly.zero(())
     rows = []
     for r in range(q):
-        rows.append([zero] * r + list(f.coeffs) + [zero] * (q - 1 - r))
+        rows.append([0] * r + list(f.coeffs) + [0] * (q - 1 - r))
     for r in range(p):
-        rows.append([zero] * r + list(g.coeffs) + [zero] * (p - 1 - r))
+        rows.append([0] * r + list(g.coeffs) + [0] * (p - 1 - r))
     assert all(len(row) == n for row in rows)
     return PolyMatrix.from_rows(rows)
 
@@ -331,15 +332,14 @@ def resultant(f: BinaryForm, g: BinaryForm) -> MPoly:
         f, g, p, q = g, f, q, p
         sign = (-1) ** (p * q)
     a, b = f.coeffs, g.coeffs
-    zero = MPoly.zero(())
     bezout = []
-    row = [zero] * p
+    row = [0] * p
     for k in range(q):
-        row = [(row[c + 1] if c + 1 < p else zero)
-               + (a[k] * b[c + 1] if c < q else zero) - b[k] * a[c + 1]
+        row = [(row[c + 1] if c + 1 < p else 0)
+               + (a[k] * b[c + 1] if c < q else 0) - b[k] * a[c + 1]
                for c in range(p)]
         bezout.append(row)
-    rows = bezout[::-1] + [[zero] * j + list(b) + [zero] * (p - q - 1 - j)
+    rows = bezout[::-1] + [[0] * j + list(b) + [0] * (p - q - 1 - j)
                            for j in range(p - q)]
     det = det_fraction_free(rows)
     return det if sign == 1 else -det
@@ -360,9 +360,9 @@ def discriminant(form: BinaryForm) -> MPoly:
 
 def form_from_roots(roots: Sequence) -> BinaryForm:
     """Product of linear forms (x1 r2 - x2 r1) over roots (r1, r2)."""
-    acc = BinaryForm([MPoly.constant(1)])
+    acc = BinaryForm([1])
     for r1, r2 in roots:
-        acc = acc * BinaryForm([r2, _as_mpoly(r1) * -1])
+        acc = acc * BinaryForm([r2, -_as_exact(r1)])
     return acc
 
 

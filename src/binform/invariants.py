@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .forms import BinaryForm, discriminant, transvectant
-from .mpoly import MPoly
+from .mpoly import MPoly, _as_exact
 
 __all__ = [
     "QuarticInvariants",
@@ -53,27 +53,6 @@ def _require_order(form: BinaryForm, order: int, what: str) -> None:
             f"{what} requires a form of order {order}, got order {form.order}")
 
 
-def _scalar_or_poly(value):
-    """Collapse a constant MPoly to a Fraction; pass everything else through."""
-    if isinstance(value, MPoly):
-        try:
-            return value.constant_value()
-        except ValueError:
-            return value
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    raise TypeError(f"not an exact value: {value!r}")
-
-
-def _is_zero(value) -> bool:
-    return value.is_zero() if isinstance(value, MPoly) else value == 0
-
-
-def _equal(a, b) -> bool:
-    diff = a - b
-    return diff.is_zero() if isinstance(diff, MPoly) else diff == 0
-
-
 # ---------------------------------------------------------------------------
 # quartic invariants
 # ---------------------------------------------------------------------------
@@ -91,17 +70,17 @@ class QuarticInvariants:
     WEIGHTS = {"S": 4, "T": 6}
 
     def __init__(self, S, T):
-        self.S = _scalar_or_poly(S)
-        self.T = _scalar_or_poly(T)
+        self.S = _as_exact(S)
+        self.T = _as_exact(T)
 
     @property
     def discriminant(self):
-        return _scalar_or_poly(256 * (self.S ** 3 - 27 * self.T ** 2))
+        return _as_exact(256 * (self.S ** 3 - 27 * self.T ** 2))
 
     def __eq__(self, other):
         if not isinstance(other, QuarticInvariants):
             return NotImplemented
-        return _equal(self.S, other.S) and _equal(self.T, other.T)
+        return self.S == other.S and self.T == other.T
 
     def __hash__(self):
         return hash((QuarticInvariants, str(self.S), str(self.T)))
@@ -119,13 +98,13 @@ def quartic_S(quartic: BinaryForm):
     """
     _require_order(quartic, 4, "quartic_S")
     q0, q1, q2, q3, q4 = quartic.binomial_coeffs()
-    return _scalar_or_poly(q0 * q4 - 4 * (q1 * q3) + 3 * (q2 * q2))
+    return _as_exact(q0 * q4 - 4 * (q1 * q3) + 3 * (q2 * q2))
 
 
 def quartic_S_transvectant(quartic: BinaryForm):
     """S computed as half the fourth transvectant of the quartic with itself."""
     _require_order(quartic, 4, "quartic_S_transvectant")
-    return _scalar_or_poly(
+    return _as_exact(
         Fraction(1, 2) * transvectant(quartic, quartic, 4).coeffs[0])
 
 
@@ -135,15 +114,15 @@ def quartic_T(quartic: BinaryForm):
     """
     _require_order(quartic, 4, "quartic_T")
     q0, q1, q2, q3, q4 = quartic.binomial_coeffs()
-    return _scalar_or_poly(q0 * q2 * q4 + 2 * (q1 * q2 * q3)
-                           - q2 ** 3 - q0 * q3 ** 2 - q1 ** 2 * q4)
+    return _as_exact(q0 * q2 * q4 + 2 * (q1 * q2 * q3)
+                     - q2 ** 3 - q0 * q3 ** 2 - q1 ** 2 * q4)
 
 
 def quartic_T_transvectant(quartic: BinaryForm):
     """T computed as one sixth of (Q, (Q,Q)_2)_4."""
     _require_order(quartic, 4, "quartic_T_transvectant")
     inner = transvectant(quartic, quartic, 2)
-    return _scalar_or_poly(
+    return _as_exact(
         Fraction(1, 6) * transvectant(quartic, inner, 4).coeffs[0])
 
 
@@ -223,13 +202,13 @@ class InvariantVector:
     WEIGHTS = {"J": 10, "K": 20, "L": 30, "H": 45, "Disc": 20}
 
     def __init__(self, J, K, L, H, Disc=None):
-        self.J = _scalar_or_poly(J)
-        self.K = _scalar_or_poly(K)
-        self.L = _scalar_or_poly(L)
-        self.H = _scalar_or_poly(H)
+        self.J = _as_exact(J)
+        self.K = _as_exact(K)
+        self.L = _as_exact(L)
+        self.H = _as_exact(H)
         if Disc is None:
             Disc = 3125 * (self.J * self.J - 128 * self.K)
-        self.Disc = _scalar_or_poly(Disc)
+        self.Disc = _as_exact(Disc)
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -242,13 +221,13 @@ class InvariantVector:
             if isinstance(value, MPoly):
                 raise TypeError(
                     "only numeric invariant vectors serialize to JSON")
-            out[name] = str(Fraction(value))
+            out[name] = str(value)
         return out
 
     def __eq__(self, other):
         if not isinstance(other, InvariantVector):
             return NotImplemented
-        return all(_equal(getattr(self, n), getattr(other, n))
+        return all(getattr(self, n) == getattr(other, n)
                    for n in self.__slots__)
 
     def __hash__(self):
@@ -285,7 +264,7 @@ def verify_relation(vector: InvariantVector) -> bool:
     lhs = 16 * H * H
     rhs = (-432 * L ** 3 - 72 * L ** 2 * K * J + 8 * L * K ** 3
            - 2 * L * K ** 2 * J ** 2 + L ** 2 * J ** 3 + K ** 4 * J)
-    return _equal(lhs, rhs)
+    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +317,9 @@ class SylvesterPoint:
     __slots__ = ("u", "v", "w")
 
     def __init__(self, u, v, w):
-        self.u = _scalar_or_poly(u)
-        self.v = _scalar_or_poly(v)
-        self.w = _scalar_or_poly(w)
+        self.u = _as_exact(u)
+        self.v = _as_exact(v)
+        self.w = _as_exact(w)
 
     @classmethod
     def symbolic(cls) -> "SylvesterPoint":
@@ -396,8 +375,8 @@ def verify_disc(samples: int = 20, seed: int = 0) -> dict:
     point = SylvesterPoint.symbolic()
     form = sylvester_specialize(point)
     vector = quintic_invariants(form)
-    symbolic_ok = _equal(discriminant(form),
-                         3125 * (vector.J * vector.J - 128 * vector.K))
+    symbolic_ok = (discriminant(form)
+                   == 3125 * (vector.J * vector.J - 128 * vector.K))
 
     rng = random.Random(seed)
     numeric_ok = True
@@ -405,9 +384,8 @@ def verify_disc(samples: int = 20, seed: int = 0) -> dict:
         coeffs = [rng.randrange(-9, 10) for _ in range(6)]
         form = BinaryForm(coeffs)
         vector = quintic_invariants(form)
-        left = _scalar_or_poly(discriminant(form))
         right = 3125 * (vector.J * vector.J - 128 * vector.K)
-        if left != right:
+        if discriminant(form) != right:
             numeric_ok = False
             break
     return {

@@ -416,6 +416,14 @@ def _coerce(x):
     return NotImplemented
 
 
+def _as_exact(x):
+    """A number or a constant MPoly as a Fraction, any other MPoly as it
+    is; a float raises TypeError."""
+    if isinstance(x, MPoly):
+        return x.constant_value() if x.total_degree() <= 0 else x
+    return _as_fraction(x)
+
+
 def _remap_table(old: tuple, new: tuple) -> tuple:
     """Per-old-variable bit shifts in the new packing (degree field excluded)."""
     n_new = len(new)

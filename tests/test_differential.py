@@ -1,17 +1,22 @@
 """Differential tests: the determinant, the resultant and substitution
-against sympy, and the resultant against the Sylvester determinant.
+against sympy, the resultant against the Sylvester determinant, and the
+numeric routes against the generic symbolic ones.
 
 hypothesis draws the inputs under a derandomized profile, so every run
 checks the same examples.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from binform.forms import BinaryForm, resultant, sylvester_matrix
+from binform.beauville import beauville_pipeline
+from binform.forms import (BinaryForm, generic_form, resultant,
+                           sylvester_matrix, transvectant)
+from binform.invariants import quintic_invariants
 from binform.mpoly import MPoly, det_fraction_free
 
 settings.register_profile(
@@ -38,7 +43,11 @@ def monomial_sums(draw, coefficients=rationals):
     return out
 
 
-def to_sympy(f: MPoly):
+def to_sympy(f):
+    """A polynomial or a rational number as a sympy expression."""
+    if not isinstance(f, MPoly):
+        f = Fraction(f)
+        return sympy.Rational(f.numerator, f.denominator)
     symbols = [sympy.Symbol(v) for v in f.variables]
     return sympy.Add(*(
         sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
@@ -78,8 +87,7 @@ def forms(order, coefficients):
 
 def sympy_det(rows):
     return sympy.Matrix(
-        [[to_sympy(e if isinstance(e, MPoly) else MPoly.constant(e))
-          for e in row] for row in rows]).det(method="berkowitz")
+        [[to_sympy(e) for e in row] for row in rows]).det(method="berkowitz")
 
 
 @DIFFERENTIAL
@@ -177,21 +185,73 @@ BINDINGS = st.one_of(
     polynomials(NAMES + (OUTSIDE,), 3).filter(lambda b: len(b) >= 2))
 
 
-def scalar_or_poly_to_sympy(b):
-    if isinstance(b, MPoly):
-        return to_sympy(b)
-    return sympy.Rational(b.numerator, b.denominator)
-
-
 @DIFFERENTIAL
 @given(polynomials(NAMES, 6),
        st.dictionaries(st.sampled_from(NAMES + (OUTSIDE,)), BINDINGS))
 def test_substitute_matches_sympy(f, bindings):
     got = f.substitute(bindings)
     expected = to_sympy(f).subs(
-        {sympy.Symbol(v): scalar_or_poly_to_sympy(b)
+        {sympy.Symbol(v): to_sympy(b)
          for v, b in bindings.items()}, simultaneous=True)
     assert sympy.expand(to_sympy(got) - expected) == 0
     # a binding outside the universe changes nothing
     if OUTSIDE in bindings:
         assert f.substitute({OUTSIDE: bindings[OUTSIDE]}) == f
+
+
+# the numeric routes against the generic symbolic ones: the same
+# transvectant sums run once on Fractions and once on coefficient symbols
+
+GENERIC = quintic_invariants(generic_form(5))
+
+
+def coefficient_values(prefix, form):
+    return {f"{prefix}{i}": c for i, c in enumerate(form.coeffs)}
+
+
+@DIFFERENTIAL
+@given(st.lists(rationals, min_size=6, max_size=6))
+def test_numeric_invariants_equal_the_generic_ones(coeffs):
+    form = BinaryForm(coeffs)
+    got = quintic_invariants(form)
+    values = coefficient_values("a", form)
+    for name in ("J", "K", "L", "H"):
+        value = getattr(got, name)
+        assert isinstance(value, Fraction)
+        assert value == getattr(GENERIC, name).evaluate(values)
+
+
+@lru_cache
+def generic_transvectant(p, q, k):
+    return transvectant(generic_form(p, "a"), generic_form(q, "b"), k)
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_numeric_transvectant_equals_the_generic_one(data):
+    p = data.draw(st.integers(1, 5))
+    q = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(0, min(p, q)))
+    f = BinaryForm(data.draw(st.lists(rationals, min_size=p + 1,
+                                      max_size=p + 1)))
+    g = BinaryForm(data.draw(st.lists(rationals, min_size=q + 1,
+                                      max_size=q + 1)))
+    got = transvectant(f, g, k)
+    values = {**coefficient_values("a", f), **coefficient_values("b", g)}
+    expected = [c.evaluate(values)
+                for c in generic_transvectant(p, q, k).coeffs]
+    assert all(isinstance(c, Fraction) for c in got.coeffs)
+    assert list(got.coeffs) == expected
+
+
+@DIFFERENTIAL
+@given(st.lists(rationals, min_size=6, max_size=6).filter(any))
+def test_constant_polynomial_coefficients_are_numbers(coeffs):
+    numeric = BinaryForm(coeffs)
+    wrapped = BinaryForm([MPoly.constant(c) for c in coeffs])
+    assert wrapped == numeric
+    assert all(isinstance(c, Fraction) for c in wrapped.coeffs)
+    # the symbolic route would refuse constants that are not 1
+    vector, _ = beauville_pipeline(wrapped)
+    assert all(isinstance(b, Fraction) for b in vector)
+    assert vector == beauville_pipeline(numeric)[0]
