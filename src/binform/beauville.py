@@ -25,6 +25,7 @@ from .invariants import (
     quartic_T,
     quintic_invariants,
     sylvester_invariants,
+    sylvester_specialize,
     SylvesterPoint,
 )
 from .mpoly import MPoly, _as_exact, _as_fraction, monic_divrem
@@ -65,6 +66,16 @@ def _triple_degree(triple: tuple) -> int:
     return 12 * a1 + 8 * a2 + 4 * a3
 
 
+def _int_triple(triple) -> tuple:
+    """An exponent triple as three ints; any other exponent, a float
+    included, raises TypeError instead of being truncated."""
+    a1, a2, a3 = triple
+    for e in (a1, a2, a3):
+        if isinstance(e, bool) or not isinstance(e, int):
+            raise TypeError(f"exponent {e!r} is not an int")
+    return a1, a2, a3
+
+
 def _monomials(triples, J, K, L) -> list:
     """L**a1 * K**a2 * J**a3 for each triple (a1, a2, a3), computing every
     power of the three values once."""
@@ -94,12 +105,11 @@ class JKLPolynomial:
     def __init__(self, terms, degree=None):
         clean = {}
         for triple, value in dict(terms).items():
-            a1, a2, a3 = triple
-            if a1 < 0 or a2 < 0 or a3 < 0:
+            key = _int_triple(triple)
+            if min(key) < 0:
                 raise ValueError("negative exponent in JKL monomial")
             value = _as_fraction(value)
             if value:
-                key = (int(a1), int(a2), int(a3))
                 clean[key] = clean.get(key, Fraction(0)) + value
         clean = {k: c for k, c in clean.items() if c}
         if degree is not None:
@@ -454,20 +464,6 @@ def beauville_closed_form(quintic: BinaryForm) -> BeauvilleVector:
 # decomposition in the J, K, L basis
 # ---------------------------------------------------------------------------
 
-def _canonical_bindings():
-    u = MPoly.variable("u")
-    v = MPoly.variable("v")
-    w = MPoly.variable("w")
-    return {
-        "a0": u - w,
-        "a1": -5 * w,
-        "a2": -10 * w,
-        "a3": -10 * w,
-        "a4": -5 * w,
-        "a5": v - w,
-    }
-
-
 def decompose_in_JKL(invariant_poly: MPoly, degree: int) -> JKLPolynomial:
     """Write a homogeneous invariant polynomial in a0..a5 as a JKL polynomial.
 
@@ -487,12 +483,12 @@ def decompose_in_JKL(invariant_poly: MPoly, degree: int) -> JKLPolynomial:
         if sum(exps) != degree:
             raise ValueError(f"input is not homogeneous of degree {degree}")
 
-    bindings = {name: value for name, value in _canonical_bindings().items()
-                if name in invariant_poly.variables}
-    specialized = invariant_poly.substitute(bindings)
+    point = SylvesterPoint.symbolic()
+    specialized = invariant_poly.substitute(
+        dict(zip(_COEFF_NAMES, sylvester_specialize(point).coeffs)))
 
     basis = monomial_basis(degree)
-    closed = sylvester_invariants(SylvesterPoint.symbolic())
+    closed = sylvester_invariants(point)
     columns = _monomials(basis, closed.J, closed.K, closed.L)
     # one equation per monomial in u, v, w; the target is the last column
     maps = [dict(p.in_universe(("u", "v", "w")).terms())
@@ -621,7 +617,7 @@ def thm48_decompose(alpha):
     degree-96 case splits as (L**g1 J**(12-3g1)) * (K**g2 J**(12-2g2)).
     Factors sum componentwise to the input.
     """
-    a1, a2, a3 = (int(x) for x in alpha)
+    a1, a2, a3 = _int_triple(alpha)
     if a1 < 0 or a2 < 0 or a3 < 0:
         raise ValueError("exponents must be nonnegative")
     degree = 12 * a1 + 8 * a2 + 4 * a3

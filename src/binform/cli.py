@@ -30,7 +30,7 @@ from .beauville import (
 from .forms import BinaryForm
 from .invariants import (
     graded_dimension,
-    monomial_basis,
+    iter_monomial_basis,
     quintic_invariants,
     sylvester_specialize,
     SylvesterPoint,
@@ -148,13 +148,20 @@ def _cmd_basis(args) -> int:
     if graded_dimension(args.degree) > _MAX_BASIS:
         raise ValueError(
             f"basis larger than the limit of {_MAX_BASIS} monomials")
-    basis = monomial_basis(args.degree)
-    if args.json:
-        _emit({"degree": args.degree,
-               "basis": [list(triple) for triple in basis]})
-    else:
+    basis = iter_monomial_basis(args.degree)
+    if not args.json:
         for a1, a2, a3 in basis:
             print(f"({a1},{a2},{a3})")
+        return 0
+    # the bytes of _emit({"degree": d, "basis": [[a1, a2, a3], ...]}),
+    # written a triple at a time; the basis always holds (0, 0, d/4)
+    write = sys.stdout.write
+    write(f'{{\n  "degree": {args.degree},\n  "basis": [')
+    separator = "\n"
+    for a1, a2, a3 in basis:
+        write(f"{separator}    [\n      {a1},\n      {a2},\n      {a3}\n    ]")
+        separator = ",\n"
+    write("\n  ]\n}\n")
     return 0
 
 

@@ -15,8 +15,7 @@ from functools import lru_cache
 from math import comb, factorial, perm
 from typing import Sequence
 
-from .mpoly import (MPoly, PolyMatrix, Scalar, _as_exact, _as_fraction,
-                    det_fraction_free)
+from .mpoly import MPoly, Scalar, _as_exact, _as_fraction, det_fraction_free
 
 __all__ = [
     "BinaryForm", "GroupElement", "CovariantMeta",
@@ -283,8 +282,9 @@ def _transvectant_weights(p: int, q: int, k: int) -> tuple:
     return tuple(out)
 
 
-def sylvester_matrix(f: BinaryForm, g: BinaryForm) -> PolyMatrix:
-    """The (p+q)x(p+q) Sylvester matrix of the coefficient vectors.
+def sylvester_matrix(f: BinaryForm, g: BinaryForm) -> list:
+    """The rows of the (p+q)x(p+q) Sylvester matrix of the coefficient
+    vectors: q shifted copies of f's, then p of g's.
 
     ``resultant`` does not build it; it is the independent second route
     that the tests check the resultant against.
@@ -299,7 +299,7 @@ def sylvester_matrix(f: BinaryForm, g: BinaryForm) -> PolyMatrix:
     for r in range(p):
         rows.append([0] * r + list(g.coeffs) + [0] * (p - 1 - r))
     assert all(len(row) == n for row in rows)
-    return PolyMatrix.from_rows(rows)
+    return rows
 
 
 def resultant(f: BinaryForm, g: BinaryForm) -> MPoly:

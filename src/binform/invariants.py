@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .forms import BinaryForm, discriminant, transvectant
 from .mpoly import MPoly, _as_exact
@@ -38,6 +38,7 @@ __all__ = [
     "quintic_invariants",
     "verify_relation",
     "graded_dimension",
+    "iter_monomial_basis",
     "monomial_basis",
     "SylvesterPoint",
     "sylvester_specialize",
@@ -290,8 +291,9 @@ def graded_dimension(d: int) -> int:
     return 3 * q * (q - 1) + r * q + 5 * q + r - (1 if r >= 2 else 0)
 
 
-def monomial_basis(d: int) -> list:
-    """Exponent triples (a1, a2, a3) with L**a1 * K**a2 * J**a3 of degree d.
+def iter_monomial_basis(d: int) -> Iterator[tuple]:
+    """Exponent triples (a1, a2, a3) with L**a1 * K**a2 * J**a3 of degree d,
+    one at a time.
 
     Since J, K, L are algebraically independent these monomials are a basis
     of the degree-d graded component; the fixed output order is L-exponent
@@ -299,11 +301,14 @@ def monomial_basis(d: int) -> list:
     """
     _check_graded_degree(d)
     m = d // 4
-    out = []
     for a1 in range(m // 3, -1, -1):
         for a2 in range((m - 3 * a1) // 2, -1, -1):
-            out.append((a1, a2, m - 3 * a1 - 2 * a2))
-    return out
+            yield (a1, a2, m - 3 * a1 - 2 * a2)
+
+
+def monomial_basis(d: int) -> list:
+    """The list of ``iter_monomial_basis(d)``."""
+    return list(iter_monomial_basis(d))
 
 
 # ---------------------------------------------------------------------------

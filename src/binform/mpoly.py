@@ -54,32 +54,21 @@ def _clean(terms: dict) -> dict:
     return out
 
 
-def _dict_mul(f: dict, g: dict) -> dict:
-    """Raw term-dict product; zero coefficients are pruned by the caller."""
-    if not f or not g:
-        return {}
-    if len(f) == 1 and 0 in f and f[0] == 1:
-        return dict(g)
-    if len(g) == 1 and 0 in g and g[0] == 1:
-        return dict(f)
+def _addmul(acc: dict, f: dict, g: dict, sign: int = 1) -> dict:
+    """Add sign * f * g into the raw term dict acc in place and return acc.
+
+    The smaller operand is looped over on the outside.  Zero coefficients
+    stay in acc for the caller to prune.
+    """
     if len(f) > len(g):
         f, g = g, f
-    items = list(g.items())
-    out: dict = {}
-    get = out.get
+    get = acc.get
     for ka, ca in f.items():
-        for kb, cb in items:
+        ca *= sign
+        for kb, cb in g.items():
             k = ka + kb
-            out[k] = get(k, 0) + ca * cb
-    return out
-
-
-def _dict_sub(f: dict, g: dict) -> dict:
-    out = dict(f)
-    get = out.get
-    for k, c in g.items():
-        out[k] = get(k, 0) - c
-    return out
+            acc[k] = get(k, 0) + ca * cb
+    return acc
 
 
 def _as_fraction(x) -> Fraction:
@@ -246,8 +235,7 @@ class MPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        vs, f, g = self._aligned(other)
-        return MPoly(vs, _dict_sub(f, g))
+        return self + (-other)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -267,7 +255,7 @@ class MPoly:
         if f and g:
             dsh = len(vs) * _BITS
             _check_degree((max(f) >> dsh) + (max(g) >> dsh))
-        return MPoly(vs, _dict_mul(f, g))
+        return MPoly(vs, _addmul({}, f, g))
 
     __rmul__ = __mul__
 
@@ -380,16 +368,14 @@ class MPoly:
                 group[key] = group.get(key, 0) + c
         pow_cache = {v: [{0: 1}] for v in polynomial}
         acc: dict = {}
-        get = acc.get
         for exps, group in groups.items():
             product = {0: 1}
             for v, e in zip(polynomial, exps):
                 cache = pow_cache[v]
                 while len(cache) <= e:
-                    cache.append(_dict_mul(cache[-1], bound_aligned[v]))
-                product = _dict_mul(product, cache[e])
-            for kk, cc in _dict_mul(group, product).items():
-                acc[kk] = get(kk, 0) + cc
+                    cache.append(_addmul({}, cache[-1], bound_aligned[v]))
+                product = _addmul({}, product, cache[e])
+            _addmul(acc, group, product)
         return MPoly(target, acc)
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
@@ -615,41 +601,15 @@ def monic_divrem(f: MPoly, g: MPoly, var: str) -> tuple:
         _check_degree((max(qpart) >> dsh) + dgt)
         for k, c in qpart.items():
             q[k] = q.get(k, 0) + c
-        r = {k: c for k, c in _dict_sub(r, _dict_mul(qpart, gt)).items() if c}
+        r = {k: c for k, c in _addmul(r, qpart, gt, -1).items() if c}
     return MPoly(vs, q), MPoly(vs, r)
 
 
-# -- matrices and determinants --------------------------------------------
+# -- determinants ------------------------------------------------------------
 
-class PolyMatrix:
-    """A dense rows x cols matrix of MPoly entries."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Sequence):
-        if rows < 0 or cols < 0 or len(entries) != rows * cols:
-            raise ValueError("entry count does not match matrix shape")
-        self.rows = rows
-        self.cols = cols
-        self.entries = [e if isinstance(e, MPoly) else MPoly.constant(e)
-                        for e in entries]
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "PolyMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        if any(len(row) != c for row in rows):
-            raise ValueError("ragged rows")
-        return cls(r, c, [e for row in rows for e in row])
-
-    def entry(self, i: int, j: int) -> MPoly:
-        return self.entries[i * self.cols + j]
-
-
-
-
-def det_fraction_free(matrix) -> MPoly:
-    """Exact determinant of a square PolyMatrix (or list of rows).
+def det_fraction_free(rows: Sequence[Sequence]) -> MPoly:
+    """Exact determinant of a square matrix given as a list of rows of
+    numbers or MPolys; a non-square or ragged matrix raises ValueError.
 
     Expansion by minors, column by column, with every minor cached by its
     row set (Gentleman & Johnson, ACM TOMS 2(3), 1976).  It never divides
@@ -661,21 +621,17 @@ def det_fraction_free(matrix) -> MPoly:
     discriminant of a quintic, 5x5 for the quintic pipeline) but grows fast
     beyond them.
     """
-    if not isinstance(matrix, PolyMatrix):
-        matrix = PolyMatrix.from_rows(matrix)
-    if matrix.rows != matrix.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = matrix.rows
-    uni: set = set()
-    for e in matrix.entries:
-        uni |= set(e._vars)
-    vs = tuple(sorted(uni))
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant of a non-square or ragged matrix")
+    rows = [[e if isinstance(e, MPoly) else MPoly.constant(e) for e in row]
+            for row in rows]
+    vs = tuple(sorted(set().union(*(e._vars for row in rows for e in row))))
     dsh = len(vs) * _BITS
     grid = []
     scale = 1
-    for i in range(n):
-        row = [_remap_terms(e._terms, e._vars, vs)
-               for e in matrix.entries[i * n:(i + 1) * n]]
+    for row in rows:
+        row = [_remap_terms(e._terms, e._vars, vs) for e in row]
         m = lcm(*(c.denominator for e in row for c in e.values()))
         scale *= m
         grid.append([{k: int(c * m) for k, c in e.items()} for e in row])
@@ -696,14 +652,8 @@ def det_fraction_free(matrix) -> MPoly:
                 if not e:
                     continue
                 _check_degree(dm + (max(e) >> dsh))
-                acc = nxt.setdefault(mask | 1 << i, {})
-                get = acc.get
-                for ka, ca in e.items():
-                    if odd:
-                        ca = -ca
-                    for kb, cb in minor.items():
-                        k = ka + kb
-                        acc[k] = get(k, 0) + ca * cb
+                _addmul(nxt.setdefault(mask | 1 << i, {}), e, minor,
+                        -1 if odd else 1)
         minors = {}
         while nxt:
             mask, acc = nxt.popitem()

@@ -59,6 +59,10 @@ class TestJKLPolynomial:
         with pytest.raises(TypeError, match="exact rational"):
             JKLPolynomial({(0, 0, 6): 0.1})
 
+    def test_float_exponent_rejected(self):
+        with pytest.raises(TypeError, match="not an int"):
+            JKLPolynomial({(1.5, 0, 0): 1}, degree=12)
+
     def test_float_scalar_rejected(self):
         p = JKLPolynomial({(0, 0, 6): 1})
         with pytest.raises(TypeError, match="exact rational"):
@@ -395,6 +399,10 @@ class TestThm48Decompose:
             thm48_decompose((1, 0, 0))
         with pytest.raises(ValueError, match="nonnegative"):
             thm48_decompose((-4, 0, 0))
+
+    def test_float_exponent_rejected(self):
+        with pytest.raises(TypeError, match="not an int"):
+            thm48_decompose((4.7, 0, 0))
 
     def test_round_trip_random(self):
         rng = random.Random(71)

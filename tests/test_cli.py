@@ -16,7 +16,7 @@ from binform.cli import main as cli_main
 
 from binform.beauville import beauville_closed_form
 from binform.forms import BinaryForm
-from binform.invariants import quintic_invariants
+from binform.invariants import monomial_basis, quintic_invariants
 
 # canonical stable quintics used throughout: the first two are inequivalent,
 # the third has a repeated root
@@ -213,6 +213,15 @@ class TestDimBasisDecompose48:
         assert json.loads(out) == {"degree": 12,
                                    "basis": [[1, 0, 0], [0, 1, 1], [0, 0, 3]]}
 
+    @pytest.mark.parametrize("degree", [4, 24, 48, 1000])
+    def test_streamed_basis_json_is_json_dumps(self, degree):
+        code, out, _ = run_cli(["basis", str(degree), "--json"])
+        assert code == 0
+        assert out == json.dumps(
+            {"degree": degree,
+             "basis": [list(triple) for triple in monomial_basis(degree)]},
+            indent=2) + "\n"
+
     def test_dim_of_a_4001_digit_degree(self):
         ell = 10 ** 3999
         code, out, _ = run_cli(["dim", str(24 * ell)])
@@ -238,7 +247,7 @@ class TestDimBasisDecompose48:
         def enumerate_basis(d):
             raise AssertionError("basis enumerated")
 
-        monkeypatch.setattr("binform.cli.monomial_basis", enumerate_basis)
+        monkeypatch.setattr("binform.cli.iter_monomial_basis", enumerate_basis)
         for argv in (["basis", degree], ["basis", degree, "--json"]):
             code, out, err = run_cli(argv)
             assert code == 2

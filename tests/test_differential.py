@@ -1,6 +1,7 @@
-"""Differential tests: the determinant, the resultant and substitution
-against sympy, the resultant against the Sylvester determinant, and the
-numeric routes against the generic symbolic ones.
+"""Differential tests: the determinant, the resultant, substitution, ring
+operations and division against sympy, the resultant against the
+Sylvester determinant, and the numeric routes against the generic
+symbolic ones.
 
 hypothesis draws the inputs under a derandomized profile, so every run
 checks the same examples.
@@ -17,7 +18,7 @@ from binform.beauville import beauville_pipeline
 from binform.forms import (BinaryForm, generic_form, resultant,
                            sylvester_matrix, transvectant)
 from binform.invariants import quintic_invariants
-from binform.mpoly import MPoly, det_fraction_free
+from binform.mpoly import MPoly, _addmul, det_fraction_free, monic_divrem
 
 settings.register_profile(
     "differential", derandomize=True, database=None, deadline=None,
@@ -107,10 +108,8 @@ def test_det_of_sylvester_shape_matches_sympy(data):
                                       max_size=p + 1)))
     g = BinaryForm(data.draw(st.lists(coefficients, min_size=q + 1,
                                       max_size=q + 1)))
-    matrix = sylvester_matrix(f, g)
-    rows = [[matrix.entry(i, j) for j in range(matrix.cols)]
-            for i in range(matrix.rows)]
-    det = det_fraction_free(matrix)
+    rows = sylvester_matrix(f, g)
+    det = det_fraction_free(rows)
     assert sympy.expand(to_sympy(det) - sympy_det(rows)) == 0
 
 
@@ -197,6 +196,51 @@ def test_substitute_matches_sympy(f, bindings):
     # a binding outside the universe changes nothing
     if OUTSIDE in bindings:
         assert f.substitute({OUTSIDE: bindings[OUTSIDE]}) == f
+
+
+# the one product kernel, directly and behind *, ** and monic_divrem, and
+# - (through +), against sympy.Poly over x, y, z
+
+GENERATORS = [sympy.Symbol(v) for v in NAMES]
+
+
+def sympy_poly(f):
+    return sympy.Poly(to_sympy(f), *GENERATORS, domain="QQ")
+
+
+@DIFFERENTIAL
+@given(polynomials(NAMES, 6), polynomials(NAMES, 4), polynomials(NAMES, 4),
+       st.sampled_from((1, -1)))
+def test_product_kernel_matches_sympy(f, g, h, sign):
+    got = MPoly(NAMES, _addmul(dict(f._terms), g._terms, h._terms, sign))
+    assert sympy_poly(got) == (sympy_poly(f)
+                               + sign * sympy_poly(g) * sympy_poly(h))
+
+
+@DIFFERENTIAL
+@given(polynomials(("x", "y"), 6), polynomials(("y", "z"), 6),
+       st.integers(0, 4))
+def test_ring_operations_match_sympy(f, g, e):
+    # the operands' universes differ, so they are aligned first
+    assert sympy_poly(f * g) == sympy_poly(f) * sympy_poly(g)
+    assert sympy_poly(f - g) == sympy_poly(f) - sympy_poly(g)
+    assert sympy_poly(f ** e) == sympy_poly(f) ** e
+
+
+@DIFFERENTIAL
+@given(polynomials(NAMES, 6), polynomials(NAMES, 4), st.integers(1, 3))
+def test_monic_divrem_matches_sympy(f, tail, d):
+    x = MPoly.variable("x")
+    # x^d plus the part of tail below degree d in x
+    g = x ** d + sum((tail.coefficient("x", i) * x ** i for i in range(d)),
+                     MPoly.zero(NAMES))
+    q, r = monic_divrem(f, g, "x")
+    assert q * g + r == f
+    assert r.degree("x") < d
+    expected_q, expected_r = sympy.div(to_sympy(f), to_sympy(g),
+                                       sympy.Symbol("x"))
+    assert sympy.expand(to_sympy(q) - expected_q) == 0
+    assert sympy.expand(to_sympy(r) - expected_r) == 0
 
 
 # the numeric routes against the generic symbolic ones: the same

@@ -261,10 +261,10 @@ class TestResultant:
         f = BinaryForm([1, 2, 3])   # p = 2
         g = BinaryForm([4, 5, 6, 7])  # q = 3
         m = sylvester_matrix(f, g)
-        assert (m.rows, m.cols) == (5, 5)
+        assert (len(m), [len(row) for row in m]) == (5, [5] * 5)
         # q rows of f's coefficients first
-        assert [e.constant_value() for e in m.entries[:5]] == [1, 2, 3, 0, 0]
-        assert m.entry(3, 0).constant_value() == 4
+        assert m[0] == [1, 2, 3, 0, 0]
+        assert m[3][0] == 4
         with pytest.raises(ValueError, match="positive order"):
             sylvester_matrix(BinaryForm([3]), g)
 
