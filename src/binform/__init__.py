@@ -5,122 +5,17 @@ GL2 action, transvectants, resultants and discriminants, the quintic's
 invariants J, K, L, H, the six degree-24 invariants built from five-point
 j-data, their decomposition in the J, K, L subring, and exact equivalence
 decisions — all in pure Python with no numerical error anywhere.
+
+The public names are those in the ``__all__`` of the four modules below.
 """
 
-from .mpoly import (
-    MPoly,
-    det_fraction_free,
-    format_poly,
-    monic_divrem,
-    parse_poly,
-)
-from .forms import (
-    BinaryForm,
-    CovariantMeta,
-    GroupElement,
-    act,
-    discriminant,
-    form_from_roots,
-    generic_form,
-    resultant,
-    sylvester_matrix,
-    transvectant,
-    weight_of,
-)
-from .invariants import (
-    CovariantChain,
-    InvariantVector,
-    QuarticInvariants,
-    SylvesterPoint,
-    canonizant,
-    graded_dimension,
-    iter_monomial_basis,
-    j_invariant,
-    monomial_basis,
-    quartic_S,
-    quartic_S_transvectant,
-    quartic_T,
-    quartic_T_transvectant,
-    quartic_invariants,
-    quintic_covariants,
-    quintic_invariants,
-    sylvester_invariants,
-    sylvester_specialize,
-    verify_dims,
-    verify_disc,
-    verify_relation,
-)
-from .beauville import (
-    BeauvilleVector,
-    JKLPolynomial,
-    KEYPROP_TABLES,
-    TschirnhausTrace,
-    beauville_closed_form,
-    beauville_pipeline,
-    build_phi,
-    decompose_in_JKL,
-    equivalence_witness,
-    gl2_equivalent,
-    prop48_rank,
-    quartic_of_root,
-    same_j_data,
-    thm48_decompose,
-    verify_keyprop,
-)
+from . import beauville, forms, invariants, mpoly
+from .mpoly import *
+from .forms import *
+from .invariants import *
+from .beauville import *
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "MPoly",
-    "det_fraction_free",
-    "format_poly",
-    "monic_divrem",
-    "parse_poly",
-    "BinaryForm",
-    "CovariantMeta",
-    "GroupElement",
-    "act",
-    "discriminant",
-    "form_from_roots",
-    "generic_form",
-    "resultant",
-    "sylvester_matrix",
-    "transvectant",
-    "weight_of",
-    "CovariantChain",
-    "InvariantVector",
-    "QuarticInvariants",
-    "SylvesterPoint",
-    "canonizant",
-    "graded_dimension",
-    "j_invariant",
-    "monomial_basis",
-    "quartic_S",
-    "quartic_S_transvectant",
-    "quartic_T",
-    "quartic_T_transvectant",
-    "quartic_invariants",
-    "quintic_covariants",
-    "quintic_invariants",
-    "sylvester_invariants",
-    "sylvester_specialize",
-    "verify_dims",
-    "verify_disc",
-    "verify_relation",
-    "BeauvilleVector",
-    "JKLPolynomial",
-    "KEYPROP_TABLES",
-    "TschirnhausTrace",
-    "beauville_closed_form",
-    "beauville_pipeline",
-    "build_phi",
-    "decompose_in_JKL",
-    "equivalence_witness",
-    "gl2_equivalent",
-    "prop48_rank",
-    "quartic_of_root",
-    "same_j_data",
-    "thm48_decompose",
-    "verify_keyprop",
-    "__version__",
-]
+__all__ = [*mpoly.__all__, *forms.__all__, *invariants.__all__,
+           *beauville.__all__, "__version__"]

@@ -14,12 +14,12 @@ decides scaled-GL2 equivalence and equality of five-point j-data.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
-from .forms import BinaryForm, GroupElement, act, resultant
+from .forms import BinaryForm, GroupElement, act, resultant, weight_of
 from .invariants import (
     InvariantVector,
-    graded_dimension,
+    _require_order,
     monomial_basis,
     quartic_S,
     quartic_T,
@@ -28,7 +28,7 @@ from .invariants import (
     sylvester_specialize,
     SylvesterPoint,
 )
-from .mpoly import MPoly, _as_exact, _as_fraction, monic_divrem
+from .mpoly import MPoly, _as_exact, _as_fraction, _cleared, monic_divrem
 
 __all__ = [
     "JKLPolynomial",
@@ -49,12 +49,6 @@ __all__ = [
 ]
 
 _COEFF_NAMES = ("a0", "a1", "a2", "a3", "a4", "a5")
-
-
-def _require_quintic(form: BinaryForm, what: str) -> None:
-    if form.order != 5:
-        raise ValueError(
-            f"{what} requires a form of order 5, got order {form.order}")
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +397,7 @@ def beauville_pipeline(quintic: BinaryForm):
     shear, which leaves every entry unchanged.  Returns the vector together
     with the TschirnhausTrace of intermediates.
     """
-    _require_quintic(quintic, "beauville_pipeline")
+    _require_order(quintic, 5, "beauville_pipeline")
     if not any(isinstance(c, MPoly) for c in quintic.coeffs):
         if quintic.is_zero():
             raise ValueError("cannot normalize the zero form")
@@ -451,7 +445,7 @@ def beauville_closed_form(quintic: BinaryForm) -> BeauvilleVector:
     routes against each other — but costs microseconds instead of running
     the symbolic resultant.
     """
-    _require_quintic(quintic, "beauville_closed_form")
+    _require_order(quintic, 5, "beauville_closed_form")
     vector = quintic_invariants(quintic)
     if any(isinstance(x, MPoly) for x in (vector.J, vector.K, vector.L)):
         raise TypeError("closed-form route needs a numeric quintic")
@@ -467,10 +461,14 @@ def beauville_closed_form(quintic: BinaryForm) -> BeauvilleVector:
 def decompose_in_JKL(invariant_poly: MPoly, degree: int) -> JKLPolynomial:
     """Write a homogeneous invariant polynomial in a0..a5 as a JKL polynomial.
 
-    Specializes to the canonical family and solves the exact linear system
-    over the monomials of u, v, w; since J, K, L are algebraically
-    independent the solution is unique when it exists.  A nonzero residual
-    (for instance an odd power of H hiding in the input) raises ValueError.
+    First proves that the input is an invariant (``_require_invariant``),
+    then specializes it to the canonical family and solves the exact linear
+    system over the monomials of u, v, w.  Since GL2 moves the canonical
+    family onto a dense set, an invariant is determined by its values
+    there; an invariant of degree divisible by 4 lies in Q[J, K, L] (an odd
+    power of H has degree 2 mod 4), and since J, K, L are algebraically
+    independent the solution is unique.  A non-invariant input raises
+    ValueError, as would a nonzero residual of the solve.
     """
     if not isinstance(invariant_poly, MPoly):
         raise TypeError("expected a polynomial in the coefficients a0..a5")
@@ -482,6 +480,7 @@ def decompose_in_JKL(invariant_poly: MPoly, degree: int) -> JKLPolynomial:
     for exps, _ in invariant_poly.terms():
         if sum(exps) != degree:
             raise ValueError(f"input is not homogeneous of degree {degree}")
+    _require_invariant(invariant_poly, degree)
 
     point = SylvesterPoint.symbolic()
     specialized = invariant_poly.substitute(
@@ -501,6 +500,39 @@ def decompose_in_JKL(invariant_poly: MPoly, degree: int) -> JKLPolynomial:
     return JKLPolynomial(
         {basis[col]: row[-1] for col, row in zip(pivots, rows)},
         degree=degree)
+
+
+def _require_invariant(poly: MPoly, degree: int) -> None:
+    """Raise ValueError unless the homogeneous degree-d polynomial poly in
+    a0..a5 is an invariant of the quintic.
+
+    Every term must have weight sum(i * e_i) equal to 5d/2, and the
+    derivation D = sum_(i<5) (5 - i) a_i d/da_(i+1), the infinitesimal
+    action of x1 -> x1 + t x2 on the coefficients, must send poly to zero.
+    An isobaric polynomial of weight 5d/2 that D kills is killed by the
+    other derivation as well, so it is SL2-invariant.  D runs on the packed
+    keys, with integer coefficients: each term moves one unit of exponent
+    from a_(i+1) to a_i, which leaves the total degree alone, and is scaled
+    by (5 - i) e_(i+1).
+    """
+    poly = poly.in_universe(_COEFF_NAMES)
+    shifts = [poly._shift(name) for name in _COEFF_NAMES]
+    weight = weight_of(degree, 5, 0)
+    (terms,), _ = _cleared([poly._terms])
+    image = {}
+    for key, c in terms.items():
+        exps = poly._unpack(key)
+        if sum(i * e for i, e in enumerate(exps)) != weight:
+            raise ValueError(
+                f"not in the J,K,L subring: a term is not of weight {weight}")
+        for i in range(5):
+            e = exps[i + 1]
+            if e:
+                target = key + (1 << shifts[i]) - (1 << shifts[i + 1])
+                image[target] = image.get(target, 0) + (5 - i) * e * c
+    if any(image.values()):
+        raise ValueError("not in the J,K,L subring: not killed by the"
+                         " derivation D of SL2")
 
 
 def _row_reduce(matrix, columns):
@@ -648,7 +680,7 @@ def thm48_decompose(alpha):
 # ---------------------------------------------------------------------------
 
 def _numeric_invariants(form: BinaryForm, what: str) -> InvariantVector:
-    _require_quintic(form, what)
+    _require_order(form, 5, what)
     vector = quintic_invariants(form)
     if any(isinstance(getattr(vector, n), MPoly)
            for n in ("J", "K", "L", "H", "Disc")):
@@ -666,69 +698,54 @@ def _exact_sqrt(value: Fraction):
     return None
 
 
+# the witness key of r = X2/X1 = s^(d/2) for a pinning invariant X of degree d
+_WITNESS_KEYS = {2: "s_squared", 4: "s_fourth", 6: "s_sixth"}
+
+
 def equivalence_witness(first: BinaryForm, second: BinaryForm) -> dict:
     """Decide scaled-GL2 equivalence of two stable quintics, with a witness.
 
     Equivalence holds iff some nonzero scalar s (over the complex numbers)
-    satisfies J2 = s^2 J1, K2 = s^4 K1, L2 = s^6 L1, H2 = s^9 H1.  With
-    t = s^2 the first nonvanishing invariant in the order J, K, L pins t (or
-    a power of it); the H condition is checked through squares so both signs
-    of s stay available, exactly as solvability over an algebraically closed
-    field demands.
+    satisfies X2 = s^(d/2) X1 for each of J, K, L, H, of degrees d = 4, 8,
+    12, 18.  The first of them that is nonzero in both forms, X of degree
+    d_X, pins r = X2/X1 = s^(d_X/2); it is one of J, K, L, since 16 H^2 is a
+    polynomial in J, K, L with no constant term.  Each later Y of degree d_Y
+    must then satisfy Y2^(d_X/g) = r^(d_Y/g) Y1^(d_X/g), g = gcd(d_X, d_Y):
+    the condition with s eliminated, checked through powers so that s may
+    be any root of r, as solvability over an algebraically closed field
+    demands.
     """
     v1 = _numeric_invariants(first, "equivalence_witness")
     v2 = _numeric_invariants(second, "equivalence_witness")
     if v1.Disc == 0 or v2.Disc == 0:
         raise ValueError("unstable form")
 
-    def fail(name, x1, x2):
-        if (x1 == 0) != (x2 == 0):
-            reason = f"{name} vanishing pattern differs"
+    pinned = None       # name of the pinning invariant, of degree dx
+    for name in ("J", "K", "L", "H"):
+        x1, x2 = getattr(v1, name), getattr(v2, name)
+        d = InvariantVector.DEGREES[name]
+        if pinned is None:
+            ok = (x1 == 0) == (x2 == 0)
         else:
-            reason = f"{name}-ratio mismatch"
-        return {"equivalent": False, "reason": reason}
+            g = gcd(dx, d)
+            ok = x2 ** (dx // g) == r ** (d // g) * x1 ** (dx // g)
+        if not ok:
+            if (x1 == 0) != (x2 == 0):
+                reason = f"{name} vanishing pattern differs"
+            else:
+                reason = f"{name}-ratio mismatch"
+            return {"equivalent": False, "reason": reason}
+        if pinned is None and x1:
+            pinned, dx, r = name, d, x2 / x1
 
-    if (v1.J == 0) != (v2.J == 0):
-        return fail("J", v1.J, v2.J)
-
-    if v1.J != 0:
-        t = v2.J / v1.J
-        if v2.K != t * t * v1.K:
-            return fail("K", v1.K, v2.K)
-        if v2.L != t ** 3 * v1.L:
-            return fail("L", v1.L, v2.L)
-        if v2.H * v2.H != t ** 9 * v1.H * v1.H:
-            return fail("H", v1.H, v2.H)
-        witness = {"equivalent": True, "pinned_by": "J",
-                   "s_squared": str(t)}
-        root = _exact_sqrt(t)
-        if root is not None:
-            witness["s"] = str(root)
-        return witness
-
-    if (v1.K == 0) != (v2.K == 0):
-        return fail("K", v1.K, v2.K)
-
-    if v1.K != 0:
-        t2 = v2.K / v1.K
-        if v2.L ** 2 != t2 ** 3 * v1.L ** 2:
-            return fail("L", v1.L, v2.L)
-        if (v2.H * v2.H) ** 2 != t2 ** 9 * (v1.H * v1.H) ** 2:
-            return fail("H", v1.H, v2.H)
-        return {"equivalent": True, "pinned_by": "K",
-                "s_fourth": str(t2)}
-
-    if (v1.L == 0) != (v2.L == 0):
-        return fail("L", v1.L, v2.L)
-
-    if v1.L != 0:
-        t3 = v2.L / v1.L
-        if v2.H * v2.H != t3 ** 3 * v1.H * v1.H:
-            return fail("H", v1.H, v2.H)
-        return {"equivalent": True, "pinned_by": "L",
-                "s_sixth": str(t3)}
-
-    return {"equivalent": True, "pinned_by": "none"}
+    if pinned is None:
+        return {"equivalent": True, "pinned_by": "none"}
+    witness = {"equivalent": True, "pinned_by": pinned,
+               _WITNESS_KEYS[dx // 2]: str(r)}
+    root = _exact_sqrt(r) if pinned == "J" else None
+    if root is not None:
+        witness["s"] = str(root)
+    return witness
 
 
 def gl2_equivalent(first: BinaryForm, second: BinaryForm) -> bool:

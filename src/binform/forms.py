@@ -20,7 +20,7 @@ from .mpoly import MPoly, Scalar, _as_exact, _as_fraction, det_fraction_free
 __all__ = [
     "BinaryForm", "GroupElement", "CovariantMeta",
     "act", "transvectant", "resultant", "discriminant", "weight_of",
-    "sylvester_matrix", "form_from_roots",
+    "sylvester_matrix", "form_from_roots", "generic_form",
 ]
 
 
@@ -74,13 +74,10 @@ class CovariantMeta:
     __slots__ = ("degree", "order", "weight", "source_order")
 
     def __init__(self, degree: int, order: int, source_order: int):
-        weight2 = degree * source_order - order
-        if weight2 < 0 or weight2 % 2:
-            raise ValueError("inconsistent covariant degree/order")
+        self.weight = weight_of(degree, source_order, order)
         self.degree = degree
         self.order = order
         self.source_order = source_order
-        self.weight = weight2 // 2
 
     def __repr__(self) -> str:
         return (f"CovariantMeta(degree={self.degree}, order={self.order}, "

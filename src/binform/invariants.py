@@ -67,9 +67,6 @@ class QuarticInvariants:
 
     __slots__ = ("S", "T")
 
-    DEGREES = {"S": 2, "T": 3}
-    WEIGHTS = {"S": 4, "T": 6}
-
     def __init__(self, S, T):
         self.S = _as_exact(S)
         self.T = _as_exact(T)
@@ -200,7 +197,6 @@ class InvariantVector:
     __slots__ = ("J", "K", "L", "H", "Disc")
 
     DEGREES = {"J": 4, "K": 8, "L": 12, "H": 18, "Disc": 8}
-    WEIGHTS = {"J": 10, "K": 20, "L": 30, "H": 45, "Disc": 20}
 
     def __init__(self, J, K, L, H, Disc=None):
         self.J = _as_exact(J)

@@ -21,6 +21,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
+__all__ = [
+    "MPoly", "det_fraction_free", "format_poly", "monic_divrem", "parse_poly",
+]
+
 Coeff = Union[int, Fraction]
 Scalar = Union[int, Fraction]
 
@@ -69,6 +73,14 @@ def _addmul(acc: dict, f: dict, g: dict, sign: int = 1) -> dict:
             k = ka + kb
             acc[k] = get(k, 0) + ca * cb
     return acc
+
+
+def _cleared(term_dicts: Sequence[dict]) -> tuple:
+    """The term dicts scaled by the lcm m of all their coefficient
+    denominators, as dicts of ints, and m."""
+    m = lcm(*(c.denominator for t in term_dicts for c in t.values()))
+    return [{k: c.numerator * (m // c.denominator) for k, c in t.items()}
+            for t in term_dicts], m
 
 
 def _as_fraction(x) -> Fraction:
@@ -631,10 +643,9 @@ def det_fraction_free(rows: Sequence[Sequence]) -> MPoly:
     grid = []
     scale = 1
     for row in rows:
-        row = [_remap_terms(e._terms, e._vars, vs) for e in row]
-        m = lcm(*(c.denominator for e in row for c in e.values()))
+        row, m = _cleared([_remap_terms(e._terms, e._vars, vs) for e in row])
         scale *= m
-        grid.append([{k: int(c * m) for k, c in e.items()} for e in row])
+        grid.append(row)
     # row bitmask -> minor on those rows and the leading columns
     minors = {0: {0: 1}}
     for j in range(n):

@@ -326,6 +326,16 @@ class TestDecomposeInJKL:
         with pytest.raises(ValueError, match="not in the J,K,L subring"):
             decompose_in_JKL(quartic_monomial, 4)
 
+    def test_slice_vanishing_non_invariants_rejected(self):
+        # both equal J on the canonical family, where the linear solve runs;
+        # the second is even homogeneous and isobaric of J's weight 10
+        iv = quintic_invariants(generic_form(5))
+        a0, a1, a2, a3, a4, a5 = (MPoly.variable(f"a{i}") for i in range(6))
+        for poly in (iv.J + (2 * a1 - a2) * a0 ** 3,
+                     iv.J + a0 * a5 * (4 * a1 * a4 - a2 * a3)):
+            with pytest.raises(ValueError, match="not in the J,K,L subring"):
+                decompose_in_JKL(poly, 4)
+
     def test_input_validation(self):
         iv = quintic_invariants(generic_form(5))
         with pytest.raises(ValueError, match="multiple of 4"):
@@ -451,6 +461,16 @@ class TestEquivalence:
         second = sylvester_specialize(SylvesterPoint(1, 2, 3))
         witness = equivalence_witness(first, second)
         assert witness == {"equivalent": False, "reason": "K-ratio mismatch"}
+
+    def test_L_ratio_mismatch(self):
+        # J pins s^2 in the first pair; J = 0 in both forms of the second,
+        # so K pins s^4
+        for first, second in (((1, -2, 0, -2, 1, 0), (1, -2, 0, -1, 2, 0)),
+                              ((1, -2, -3, -2, 2, -2), (1, -2, 2, 1, 1, -1))):
+            witness = equivalence_witness(BinaryForm(first),
+                                          BinaryForm(second))
+            assert witness == {"equivalent": False,
+                               "reason": "L-ratio mismatch"}
 
     def test_J_vanishing_pattern(self):
         # (1, 1, 1/4) gives a stable quintic with J = 0, K != 0

@@ -1,7 +1,8 @@
-"""Differential tests: the determinant, the resultant, substitution, ring
-operations and division against sympy, the resultant against the
-Sylvester determinant, and the numeric routes against the generic
-symbolic ones.
+"""Differential tests: the determinant, the resultant, the discriminant,
+substitution, ring operations, derivatives, coefficients and division
+against sympy, the resultant against the Sylvester determinant, the
+numeric routes against the generic symbolic ones, and the rejection of
+non-invariants that agree with an invariant on the canonical family.
 
 hypothesis draws the inputs under a derandomized profile, so every run
 checks the same examples.
@@ -10,12 +11,13 @@ checks the same examples.
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
 import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from binform.beauville import beauville_pipeline
-from binform.forms import (BinaryForm, generic_form, resultant,
+from binform.beauville import beauville_pipeline, decompose_in_JKL
+from binform.forms import (BinaryForm, discriminant, generic_form, resultant,
                            sylvester_matrix, transvectant)
 from binform.invariants import quintic_invariants
 from binform.mpoly import MPoly, _addmul, det_fraction_free, monic_divrem
@@ -198,6 +200,17 @@ def test_substitute_matches_sympy(f, bindings):
         assert f.substitute({OUTSIDE: bindings[OUTSIDE]}) == f
 
 
+@DIFFERENTIAL
+@given(st.data())
+def test_discriminant_matches_sympy(data):
+    p = data.draw(st.integers(2, 6))
+    form = data.draw(forms(p, rationals))
+    t = sympy.Symbol("t")
+    univariate = sum(to_sympy(c) * t ** (p - i)
+                     for i, c in enumerate(form.coeffs))
+    assert to_sympy(discriminant(form)) == sympy.discriminant(univariate, t)
+
+
 # the one product kernel, directly and behind *, ** and monic_divrem, and
 # - (through +), against sympy.Poly over x, y, z
 
@@ -225,6 +238,15 @@ def test_ring_operations_match_sympy(f, g, e):
     assert sympy_poly(f * g) == sympy_poly(f) * sympy_poly(g)
     assert sympy_poly(f - g) == sympy_poly(f) - sympy_poly(g)
     assert sympy_poly(f ** e) == sympy_poly(f) ** e
+
+
+@DIFFERENTIAL
+@given(polynomials(NAMES, 6), st.sampled_from(NAMES), st.integers(0, 4))
+def test_diff_and_coefficient_match_sympy(f, name, power):
+    symbol = sympy.Symbol(name)
+    assert sympy_poly(f.diff(name)) == sympy_poly(f).diff(symbol)
+    expected = sympy.Poly(to_sympy(f), symbol).nth(power)
+    assert sympy.expand(to_sympy(f.coefficient(name, power)) - expected) == 0
 
 
 @DIFFERENTIAL
@@ -299,3 +321,36 @@ def test_constant_polynomial_coefficients_are_numbers(coeffs):
     vector, _ = beauville_pipeline(wrapped)
     assert all(isinstance(b, Fraction) for b in vector)
     assert vector == beauville_pipeline(numeric)[0]
+
+
+# a0..a5; each perturbation below vanishes on the canonical family
+# a1 = a4 = -5w, a2 = a3 = -10w, where decompose_in_JKL solves
+COEFFS = [MPoly.variable(f"a{i}") for i in range(6)]
+SLICE_VANISHING = (COEFFS[1] - COEFFS[4], COEFFS[2] - COEFFS[3],
+                   2 * COEFFS[1] - COEFFS[2],
+                   4 * COEFFS[1] * COEFFS[4] - COEFFS[2] * COEFFS[3])
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_slice_vanishing_perturbation_rejected(data):
+    # the perturbation keeps the input homogeneous; when drawn isobaric
+    # (only 4 a1 a4 - a2 a3 is), it also keeps the weight 5d/2 of J, K or
+    # L, so the derivation and not the weight has to reject it
+    name, degree = data.draw(st.sampled_from((("J", 4), ("K", 8),
+                                              ("L", 12))))
+    if data.draw(st.booleans()):
+        factor = SLICE_VANISHING[-1]
+        weight = 5 * degree // 2 - 5
+    else:
+        factor = data.draw(st.sampled_from(SLICE_VANISHING))
+        weight = None
+    size = degree - factor.total_degree()
+    indices = data.draw(st.lists(st.integers(0, 5), min_size=size,
+                                 max_size=size).filter(
+        lambda ix: weight is None or sum(ix) == weight))
+    perturbation = data.draw(rationals.filter(bool)) * factor
+    for i in indices:
+        perturbation = perturbation * COEFFS[i]
+    with pytest.raises(ValueError, match="not in the J,K,L subring"):
+        decompose_in_JKL(getattr(GENERIC, name) + perturbation, degree)

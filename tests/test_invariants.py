@@ -76,9 +76,17 @@ class TestQuarticInvariants:
         inv = QuarticInvariants(Fraction(2), Fraction(1))
         assert inv.discriminant == 256 * (8 - 27)
 
-    def test_metadata(self):
-        assert QuarticInvariants.DEGREES == {"S": 2, "T": 3}
-        assert QuarticInvariants.WEIGHTS == {"S": 4, "T": 6}
+    def test_degrees_and_weights_by_scaling(self):
+        # S and T have degrees 2, 3 and weights 4, 6: c*Q scales them by
+        # c**2, c**3, and g = diag(1, 1/2) of det 1/2 by det(g)**-4, **-6
+        q = BinaryForm([1, 2, 0, -1, 3])
+        before = quartic_invariants(q)
+        assert before.S and before.T
+        scaled = quartic_invariants(3 * q)
+        assert (scaled.S, scaled.T) == (9 * before.S, 27 * before.T)
+        moved = quartic_invariants(
+            act(GroupElement(1, 0, 0, Fraction(1, 2)), q))
+        assert (moved.S, moved.T) == (2 ** 4 * before.S, 2 ** 6 * before.T)
 
     def test_invariance_under_det1(self):
         rng = random.Random(43)
@@ -162,8 +170,12 @@ class TestQuinticInvariants:
     def test_metadata(self):
         assert InvariantVector.DEGREES == \
             {"J": 4, "K": 8, "L": 12, "H": 18, "Disc": 8}
-        assert InvariantVector.WEIGHTS == \
-            {"J": 10, "K": 20, "L": 30, "H": 45, "Disc": 20}
+        # the degrees are the scaling exponents: 2*F scales X by 2**d
+        f = BinaryForm([1, 2, 0, -1, 3, 1])
+        before, after = quintic_invariants(f), quintic_invariants(2 * f)
+        for name, d in InvariantVector.DEGREES.items():
+            assert getattr(before, name)
+            assert getattr(after, name) == 2 ** d * getattr(before, name)
 
     def test_json_round_trip(self):
         vector = quintic_invariants(BinaryForm([1, 1, 0, 0, -1, 2]))
