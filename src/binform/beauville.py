@@ -28,7 +28,8 @@ from .invariants import (
     sylvester_specialize,
     SylvesterPoint,
 )
-from .mpoly import MPoly, _as_exact, _as_fraction, _cleared, monic_divrem
+from .mpoly import (MPoly, _as_exact, _as_fraction, _cleared, _monomials,
+                    monic_divrem)
 
 __all__ = [
     "JKLPolynomial",
@@ -70,22 +71,6 @@ def _int_triple(triple) -> tuple:
     return a1, a2, a3
 
 
-def _monomials(triples, J, K, L) -> list:
-    """L**a1 * K**a2 * J**a3 for each triple (a1, a2, a3), computing every
-    power of the three values once."""
-    bases = (L, K, J)
-    powers = ([1], [1], [1])        # powers[s][e] == bases[s] ** e
-    out = []
-    for triple in triples:
-        monomial = 1
-        for base, cache, exponent in zip(bases, powers, triple):
-            while len(cache) <= exponent:
-                cache.append(cache[-1] * base)
-            monomial = monomial * cache[exponent]
-        out.append(monomial)
-    return out
-
-
 class JKLPolynomial:
     """A polynomial in the three basic invariants, stored sparsely.
 
@@ -104,8 +89,7 @@ class JKLPolynomial:
                 raise ValueError("negative exponent in JKL monomial")
             value = _as_fraction(value)
             if value:
-                clean[key] = clean.get(key, Fraction(0)) + value
-        clean = {k: c for k, c in clean.items() if c}
+                clean[key] = value
         if degree is not None:
             for triple in clean:
                 if _triple_degree(triple) != degree:
@@ -155,7 +139,7 @@ class JKLPolynomial:
 
     def evaluate(self, J, K, L):
         """Plug in values (rational or polynomial) for the three symbols."""
-        monomials = _monomials(self.terms, J, K, L)
+        monomials = _monomials(self.terms, (L, K, J))
         return sum((c * m for c, m in zip(self.terms.values(), monomials)), 0)
 
     def __eq__(self, other):
@@ -310,16 +294,14 @@ def quartic_of_root(a, lam) -> BinaryForm:
 
     Dividing x**5 + a1 x**4 + a2 x**3 + a3 x**2 + a4 x + a5 by (x - lam)
     leaves the quartic with plain coefficients (1, b1, b2, b3, b4) where
-    b_i = lam * b_{i-1} + a_i; in the binomial convention its coefficients
-    are (1, b1/4, b2/6, b3/4, b4).  Only a1..a4 enter.
+    b_i = lam * b_{i-1} + a_i; one more step, lam * b4 + a5, is the quintic
+    at lam.  Only a1..a4 enter.
     """
     a1, a2, a3, a4 = a
     b1 = lam + a1
     b2 = lam * b1 + a2
     b3 = lam * b2 + a3
-    b4 = lam * b3 + a4
-    return BinaryForm.from_binomial_quartic(
-        1, b1 * Fraction(1, 4), b2 * Fraction(1, 6), b3 * Fraction(1, 4), b4)
+    return BinaryForm([1, b1, b2, b3, lam * b3 + a4])
 
 
 def build_phi(quartic: BinaryForm, z: str = "z") -> MPoly:
@@ -336,14 +318,6 @@ def build_phi(quartic: BinaryForm, z: str = "z") -> MPoly:
     return (s_cubed - 27 * t ** 2) * zvar - s_cubed
 
 
-def _horner_quintic(tail, lam):
-    """The monic quintic lam**5 + a1 lam**4 + ... + a5 as a polynomial."""
-    value = lam + tail[0]
-    for a in tail[1:]:
-        value = lam * value + a
-    return value
-
-
 def _core_pipeline(tail) -> TschirnhausTrace:
     """Run the resultant pipeline for a monic quintic with coefficient tail
     (a1..a5): rationals in numeric mode, coefficient symbols in symbolic
@@ -351,7 +325,7 @@ def _core_pipeline(tail) -> TschirnhausTrace:
     lam = MPoly.variable("lam")
     quartic = quartic_of_root(tail[:4], lam)
     phi = build_phi(quartic, "z")
-    _, phi_bar = monic_divrem(phi, _horner_quintic(tail, lam), "lam")
+    _, phi_bar = monic_divrem(phi, lam * quartic.coeffs[4] + tail[4], "lam")
     r_bar = resultant(
         BinaryForm([1, *tail]),
         BinaryForm([phi_bar.coefficient("lam", 4 - i) for i in range(5)]))
@@ -488,7 +462,7 @@ def decompose_in_JKL(invariant_poly: MPoly, degree: int) -> JKLPolynomial:
 
     basis = monomial_basis(degree)
     closed = sylvester_invariants(point)
-    columns = _monomials(basis, closed.J, closed.K, closed.L)
+    columns = _monomials(basis, (closed.L, closed.K, closed.J))
     # one equation per monomial in u, v, w; the target is the last column
     maps = [dict(p.in_universe(("u", "v", "w")).terms())
             for p in columns + [specialized]]
@@ -707,13 +681,15 @@ def equivalence_witness(first: BinaryForm, second: BinaryForm) -> dict:
 
     Equivalence holds iff some nonzero scalar s (over the complex numbers)
     satisfies X2 = s^(d/2) X1 for each of J, K, L, H, of degrees d = 4, 8,
-    12, 18.  The first of them that is nonzero in both forms, X of degree
-    d_X, pins r = X2/X1 = s^(d_X/2); it is one of J, K, L, since 16 H^2 is a
-    polynomial in J, K, L with no constant term.  Each later Y of degree d_Y
-    must then satisfy Y2^(d_X/g) = r^(d_Y/g) Y1^(d_X/g), g = gcd(d_X, d_Y):
-    the condition with s eliminated, checked through powers so that s may
-    be any root of r, as solvability over an algebraically closed field
-    demands.
+    12, 18.  J, K, L decide it: 16 H^2 is a polynomial in them with no
+    constant term, so their conditions give H2 = +-s^9 H1.  The first of
+    them that is nonzero in both forms, X of degree d_X, pins
+    r = X2/X1 = s^(d_X/2).  Each later Y of degree d_Y must then satisfy
+    Y2^(d_X/g) = r^(d_Y/g) Y1^(d_X/g), g = gcd(d_X, d_Y): the condition
+    with s eliminated, checked through powers so that s may be any root of
+    r, as solvability over an algebraically closed field demands.  H fixes
+    the sign of s: when J pins r with a rational square root rho, the
+    witness s is the one of rho, -rho with H2 = s^9 H1.
     """
     v1 = _numeric_invariants(first, "equivalence_witness")
     v2 = _numeric_invariants(second, "equivalence_witness")
@@ -721,7 +697,7 @@ def equivalence_witness(first: BinaryForm, second: BinaryForm) -> dict:
         raise ValueError("unstable form")
 
     pinned = None       # name of the pinning invariant, of degree dx
-    for name in ("J", "K", "L", "H"):
+    for name in ("J", "K", "L"):
         x1, x2 = getattr(v1, name), getattr(v2, name)
         d = InvariantVector.DEGREES[name]
         if pinned is None:
@@ -744,7 +720,7 @@ def equivalence_witness(first: BinaryForm, second: BinaryForm) -> dict:
                _WITNESS_KEYS[dx // 2]: str(r)}
     root = _exact_sqrt(r) if pinned == "J" else None
     if root is not None:
-        witness["s"] = str(root)
+        witness["s"] = str(root if v2.H == root ** 9 * v1.H else -root)
     return witness
 
 

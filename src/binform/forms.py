@@ -15,7 +15,8 @@ from functools import lru_cache
 from math import comb, factorial, perm
 from typing import Sequence
 
-from .mpoly import MPoly, Scalar, _as_exact, _as_fraction, det_fraction_free
+from .mpoly import (MPoly, Scalar, _as_exact, _as_fraction, _monomials,
+                    det_fraction_free)
 
 __all__ = [
     "BinaryForm", "GroupElement", "CovariantMeta",
@@ -209,33 +210,16 @@ class BinaryForm:
 
 
 def act(g: GroupElement, form: BinaryForm) -> BinaryForm:
-    """The substitution action (g.F)(x) = F(g^-1 x)."""
+    """The substitution action (g.F)(x) = F(g^-1 x): with h = g^-1, the sum
+    of c_i X1^(p-i) X2^i over the linear forms X1 = h.a x1 + h.b x2 and
+    X2 = h.c x1 + h.d x2."""
     h = g.inverse()
     p = form.order
-    # powers of the two transformed variables, as coefficient vectors
-    pow1 = [[Fraction(1)]]
-    pow2 = [[Fraction(1)]]
-    for k in range(1, p + 1):
-        prev = pow1[-1]
-        pow1.append([(prev[i] if i < len(prev) else 0) * h.a +
-                     (prev[i - 1] if i >= 1 else 0) * h.b for i in range(k + 1)])
-        prev = pow2[-1]
-        pow2.append([(prev[i] if i < len(prev) else 0) * h.c +
-                     (prev[i - 1] if i >= 1 else 0) * h.d for i in range(k + 1)])
-    out = [0] * (p + 1)
-    for i, ci in enumerate(form.coeffs):
-        if not ci:
-            continue
-        v1 = pow1[p - i]
-        v2 = pow2[i]
-        for m, cm in enumerate(v1):
-            if not cm:
-                continue
-            for n, cn in enumerate(v2):
-                if not cn:
-                    continue
-                out[m + n] = out[m + n] + ci * (cm * cn)
-    return BinaryForm(out)
+    images = _monomials([(p - i, i) for i in range(p + 1)],
+                        (BinaryForm([h.a, h.b]), BinaryForm([h.c, h.d])),
+                        BinaryForm([1]))
+    return sum((image * c for c, image in zip(form.coeffs, images)),
+               BinaryForm([0] * (p + 1)))
 
 
 def transvectant(f: BinaryForm, g: BinaryForm, k: int) -> BinaryForm:

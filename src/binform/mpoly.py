@@ -16,6 +16,7 @@ of dicts is equality of polynomials.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from math import lcm
@@ -81,6 +82,28 @@ def _cleared(term_dicts: Sequence[dict]) -> tuple:
     m = lcm(*(c.denominator for t in term_dicts for c in t.values()))
     return [{k: c.numerator * (m // c.denominator) for k, c in t.items()}
             for t in term_dicts], m
+
+
+def _unscaled(terms: dict, m: int) -> dict:
+    """The term dict divided by the int m."""
+    return terms if m == 1 else {k: Fraction(c, m) for k, c in terms.items()}
+
+
+def _monomials(exponents, bases, one=1, mul=operator.mul) -> list:
+    """The product of the powers bases[s] ** e[s] for each exponent tuple
+    e, computing every power of every base once: the library's one power
+    cache.  ``one`` and ``mul`` are the unit and product of the bases'
+    ring."""
+    powers = [[one] for _ in bases]     # powers[s][e] == bases[s] ** e
+    out = []
+    for exps in exponents:
+        monomial = one
+        for base, cache, e in zip(bases, powers, exps):
+            while len(cache) <= e:
+                cache.append(mul(cache[-1], base))
+            monomial = mul(monomial, cache[e])
+        out.append(monomial)
+    return out
 
 
 def _as_fraction(x) -> Fraction:
@@ -267,7 +290,9 @@ class MPoly:
         if f and g:
             dsh = len(vs) * _BITS
             _check_degree((max(f) >> dsh) + (max(g) >> dsh))
-        return MPoly(vs, _addmul({}, f, g))
+        # the product runs on ints: both operands scaled by one m
+        (f, g), m = _cleared([f, g])
+        return MPoly(vs, _unscaled(_addmul({}, f, g), m * m))
 
     __rmul__ = __mul__
 
@@ -303,10 +328,6 @@ class MPoly:
         _, f, g = self._aligned(other)
         return f == g
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     # -- calculus and substitution ----------------------------------------
 
     def diff(self, var: str) -> "MPoly":
@@ -329,7 +350,8 @@ class MPoly:
         without multiplying polynomials.  The terms are then grouped by
         their exponents in the variables bound to polynomials of two or
         more terms, and each group is multiplied once by its product of
-        binding powers.
+        binding powers.  The terms are scaled to ints first and the result
+        divided back once.
         """
         bound = {}
         for v, b in bindings.items():
@@ -354,9 +376,10 @@ class MPoly:
         keep_table = _remap_table(self._vars, target)
         shifts = {v: self._shift(v) for v in bound}
         dsh = self._n * _BITS
+        (terms,), scale = _cleared([self._terms])
         # exponents in the polynomial-bound variables -> remapped terms
         groups: dict = {}
-        for k, c in self._terms.items():
+        for k, c in terms.items():
             base = k
             degree = k >> dsh
             exps = {}
@@ -378,17 +401,12 @@ class MPoly:
             else:
                 group = groups.setdefault(tuple(exps[v] for v in polynomial), {})
                 group[key] = group.get(key, 0) + c
-        pow_cache = {v: [{0: 1}] for v in polynomial}
+        products = _monomials(groups, [bound_aligned[v] for v in polynomial],
+                              {0: 1}, lambda f, g: _addmul({}, f, g))
         acc: dict = {}
-        for exps, group in groups.items():
-            product = {0: 1}
-            for v, e in zip(polynomial, exps):
-                cache = pow_cache[v]
-                while len(cache) <= e:
-                    cache.append(_addmul({}, cache[-1], bound_aligned[v]))
-                product = _addmul({}, product, cache[e])
+        for group, product in zip(groups.values(), products):
             _addmul(acc, group, product)
-        return MPoly(target, acc)
+        return MPoly(target, _unscaled(acc, scale))
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
         """Full evaluation at rational values for every variable."""
@@ -497,7 +515,6 @@ def _tokenize(text: str) -> list:
 
 def parse_poly(text: str, variables: Iterable[str] = ()) -> MPoly:
     """Parse the canonical text format (signs, ``*`` factors, ``^`` powers,
-
     rational coefficients written ``p/q``).  Extra universe variables may be
     supplied; variables found in the text are added automatically.
     """
@@ -569,12 +586,8 @@ def parse_poly(text: str, variables: Iterable[str] = ()) -> MPoly:
     acc: dict = {}
     for coeff, exps in raw_terms:
         vec = tuple(exps.get(v, 0) for v in vs)
-        _check_degree(sum(vec))
-        key = sum(vec) << (len(vs) * _BITS)
-        for i, e in enumerate(vec):
-            key |= e << ((len(vs) - 1 - i) * _BITS)
-        acc[key] = acc.get(key, 0) + coeff
-    return MPoly(vs, acc)
+        acc[vec] = acc.get(vec, 0) + coeff
+    return MPoly.from_terms(vs, acc)
 
 
 # -- univariate-style division --------------------------------------------
@@ -671,7 +684,4 @@ def det_fraction_free(rows: Sequence[Sequence]) -> MPoly:
             acc = {k: c for k, c in acc.items() if c}
             if acc:
                 minors[mask] = acc
-    det = minors.get((1 << n) - 1, {})
-    if scale != 1:
-        det = {k: Fraction(c, scale) for k, c in det.items()}
-    return MPoly(vs, det)
+    return MPoly(vs, _unscaled(minors.get((1 << n) - 1, {}), scale))

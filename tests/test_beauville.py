@@ -252,6 +252,14 @@ class TestSymbolicPipeline:
         expected = disc * disc * disc * Fraction(1, 2 ** 40)
         assert (vector.b[0] - expected).is_zero()
 
+    def test_tables_at_generic_JKL_equal_the_entries(self, symbolic_vector):
+        # a second route to keyprop: the closed forms evaluated at the
+        # generic J, K, L, term for term
+        vector, _ = symbolic_vector
+        iv = quintic_invariants(generic_form(5))
+        for table, entry in zip(KEYPROP_TABLES, vector.b):
+            assert table.evaluate(iv.J, iv.K, iv.L) == entry
+
     def test_trace_shapes(self, symbolic_vector):
         _, trace = symbolic_vector
         assert len(trace.q_coeffs) == 5
@@ -455,6 +463,35 @@ class TestEquivalence:
             other = Fraction(rng.randrange(1, 5)) * act(g, form)
             assert gl2_equivalent(form, other)
             assert gl2_equivalent(other, form)
+
+    def test_witness_scales_every_invariant(self):
+        # for F2 = lam * g.F, X2 = s^(d/2) X1 for J, K, L, H of degrees
+        # 4, 8, 12, 18, and s = lam^2 / det(g)^5 when H1 != 0
+        rng = random.Random(61)
+        for trial in range(24):
+            form = random_stable_quintic(rng)
+            while True:
+                a, b, c, d = (rng.randrange(-3, 4) for _ in range(4))
+                det = a * d - b * c
+                if det:
+                    break
+            if (det > 0) != (trial % 2 == 0):
+                a, b, c, d = c, d, a, b
+            g = GroupElement(a, b, c, d)
+            lam = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                           rng.randrange(1, 4))
+            other = lam * act(g, form)
+            witness = equivalence_witness(form, other)
+            v1, v2 = quintic_invariants(form), quintic_invariants(other)
+            assert witness["equivalent"]
+            if not v1.J:
+                continue
+            s = Fraction(witness["s"])
+            for name, degree in (("J", 4), ("K", 8), ("L", 12), ("H", 18)):
+                assert getattr(v2, name) == \
+                    s ** (degree // 2) * getattr(v1, name)
+            if v1.H:
+                assert s == lam ** 2 / g.det ** 5
 
     def test_canonical_pair_fails_on_K(self):
         first = sylvester_specialize(SylvesterPoint(1, 1, 1))

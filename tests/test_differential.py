@@ -1,8 +1,9 @@
 """Differential tests: the determinant, the resultant, the discriminant,
 substitution, ring operations, derivatives, coefficients and division
 against sympy, the resultant against the Sylvester determinant, the
-numeric routes against the generic symbolic ones, and the rejection of
-non-invariants that agree with an invariant on the canonical family.
+numeric routes against the generic symbolic ones, the rejection of
+non-invariants that agree with an invariant on the canonical family, the
+text format's round trip, and the command line on random argument lists.
 
 hypothesis draws the inputs under a derandomized profile, so every run
 checks the same examples.
@@ -20,7 +21,9 @@ from binform.beauville import beauville_pipeline, decompose_in_JKL
 from binform.forms import (BinaryForm, discriminant, generic_form, resultant,
                            sylvester_matrix, transvectant)
 from binform.invariants import quintic_invariants
-from binform.mpoly import MPoly, _addmul, det_fraction_free, monic_divrem
+from binform.mpoly import (MPoly, _addmul, det_fraction_free, format_poly,
+                           monic_divrem, parse_poly)
+from conftest import run_cli
 
 settings.register_profile(
     "differential", derandomize=True, database=None, deadline=None,
@@ -167,13 +170,14 @@ OUTSIDE = "w"       # a variable no drawn polynomial has
 
 @st.composite
 def polynomials(draw, names, max_terms):
-    """Sums of terms with rational coefficients, exponents at most 3."""
+    """Sums of terms with rational coefficients, exponents at most 3, built
+    without a polynomial product, so a wrong product cannot make them."""
     out = MPoly.zero(names)
     for _ in range(draw(st.integers(0, max_terms))):
-        term = MPoly.constant(draw(rationals))
-        for v in names:
-            term = term * MPoly.variable(v) ** draw(st.integers(0, 3))
-        out = out + term
+        c = draw(rationals)
+        exps = {v: draw(st.integers(0, 3)) for v in names}
+        out = out + MPoly.from_terms(
+            names, {tuple(exps[v] for v in sorted(names)): c})
     return out
 
 
@@ -238,6 +242,14 @@ def test_ring_operations_match_sympy(f, g, e):
     assert sympy_poly(f * g) == sympy_poly(f) * sympy_poly(g)
     assert sympy_poly(f - g) == sympy_poly(f) - sympy_poly(g)
     assert sympy_poly(f ** e) == sympy_poly(f) ** e
+
+
+@DIFFERENTIAL
+@given(st.one_of(polynomials(NAMES, 6), rationals.map(MPoly.constant)))
+def test_format_parse_round_trip(f):
+    text = format_poly(f)
+    assert parse_poly(text) == f
+    assert format_poly(parse_poly(text)) == text
 
 
 @DIFFERENTIAL
@@ -354,3 +366,27 @@ def test_slice_vanishing_perturbation_rejected(data):
         perturbation = perturbation * COEFFS[i]
     with pytest.raises(ValueError, match="not in the J,K,L subring"):
         decompose_in_JKL(getattr(GENERIC, name) + perturbation, degree)
+
+
+# the command line on random argument lists: every run ends in exit code
+# 0, 1 or 2, never in a traceback.  verify keyprop is left out of the pool
+# for its cost, and each basis degree is small or past the size limit.
+COMMANDS = ("invariants", "beauville", "verify", "dim", "basis",
+            "decompose48", "equiv", "jdata", "bogus", "--help", "")
+TOKENS = ("1,0,0,0,0,1", "1,-2,3,0,5,-7", "-7,5,0,3,-2,1",
+          "0,1,-3,2,5,1", "1,0,0,0,0,0", "0,0,0,0,0,0", "1/2,0,-2/3,1,0,5",
+          "1,2,3", "1,0,0,0,0,x", "1/0,1,1,1,1,1", "1e3,0,0,0,0,1",
+          "9" * 5000 + ",1,1,1,1,1", "relation", "disc", "prop48", "dims",
+          "--pipeline", "--json", "--timing", "--seed", "--", "-h", "--x",
+          "0", "1", "-1", "4", "48", "7", "-48", "2.5", "abc",
+          "10000000000", "12345678901234567890", "")
+
+
+@settings(DIFFERENTIAL, max_examples=300)
+@given(st.sampled_from(COMMANDS), st.lists(st.sampled_from(TOKENS),
+                                            max_size=5))
+def test_cli_argv_fuzz(command, tokens):
+    code, _, err = run_cli([command, *tokens])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert "internal failure" not in err
