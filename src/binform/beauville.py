@@ -99,9 +99,6 @@ class JKLPolynomial:
         self.terms = clean
         self.degree = degree
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def items(self):
         """Triples and coefficients, L-exponent then K-exponent descending."""
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, perm
+from math import comb, factorial, lcm, perm
 from typing import Sequence
 
 from .mpoly import (MPoly, Scalar, _as_exact, _as_fraction, _monomials,
                     det_fraction_free)
 
 __all__ = [
-    "BinaryForm", "GroupElement", "CovariantMeta",
+    "BinaryForm", "GroupElement",
     "act", "transvectant", "resultant", "discriminant", "weight_of",
     "sylvester_matrix", "form_from_roots", "generic_form",
 ]
@@ -66,25 +66,6 @@ class GroupElement:
         return f"GroupElement({self.a}, {self.b}, {self.c}, {self.d})"
 
 
-class CovariantMeta:
-    """Degree/order/weight bookkeeping for a covariant of a p-form.
-
-    The three are tied together by degree * p == 2 * weight + order.
-    """
-
-    __slots__ = ("degree", "order", "weight", "source_order")
-
-    def __init__(self, degree: int, order: int, source_order: int):
-        self.weight = weight_of(degree, source_order, order)
-        self.degree = degree
-        self.order = order
-        self.source_order = source_order
-
-    def __repr__(self) -> str:
-        return (f"CovariantMeta(degree={self.degree}, order={self.order}, "
-                f"weight={self.weight})")
-
-
 def weight_of(degree: int, source_order: int, order: int) -> int:
     """Weight of a covariant of given degree and order of a p-form."""
     w2 = degree * source_order - order
@@ -113,15 +94,6 @@ class BinaryForm:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    @classmethod
-    def from_binomial_quartic(cls, q0, q1, q2, q3, q4) -> "BinaryForm":
-        """Quartic given in the binomial convention
-
-        q0 x1^4 + 4 q1 x1^3 x2 + 6 q2 x1^2 x2^2 + 4 q3 x1 x2^3 + q4 x2^4.
-        """
-        q1, q2, q3 = _as_exact(q1), _as_exact(q2), _as_exact(q3)
-        return cls([q0, 4 * q1, 6 * q2, 4 * q3, q4])
 
     def binomial_coeffs(self) -> tuple:
         """The (q0..q4) of a quartic in the binomial convention."""
@@ -236,22 +208,39 @@ def transvectant(f: BinaryForm, g: BinaryForm, k: int) -> BinaryForm:
         (p-i)_(k-j) (i)_j (q-l)_j (l)_(k-j),
 
     where (n)_m = n!/(n-m)! is the falling factorial, zero when m > n.
+    The sum runs with int weights, and each coefficient is divided once
+    by their common denominator.
     """
-    p, q = f.order, g.order
+    out, den = _transvectant_sum(f.coeffs, g.coeffs, k)
+    return BinaryForm([_over(c, den) for c in out])
+
+
+def _transvectant_sum(a: Sequence, b: Sequence, k: int) -> tuple:
+    """den * (f, g)_k for the forms with coefficient vectors a and b, as a
+    coefficient list, and the int den of ``_transvectant_weights``.  On
+    int coefficients the sum runs on ints."""
+    p, q = len(a) - 1, len(b) - 1
     if k < 0 or k > p or k > q:
         raise ValueError(f"transvectant index {k} out of range for orders {p},{q}")
+    weights, den = _transvectant_weights(p, q, k)
     out = [0] * (p + q - 2 * k + 1)
-    for i, l, weight in _transvectant_weights(p, q, k):
-        ai, bl = f.coeffs[i], g.coeffs[l]
+    for i, l, weight in weights:
+        ai, bl = a[i], b[l]
         if ai and bl:
             out[i + l - k] = out[i + l - k] + ai * bl * weight
-    return BinaryForm(out)
+    return out, den
+
+
+def _over(c, den: int):
+    """c / den exactly; ``/`` between two ints would give a float."""
+    return c * Fraction(1, den) if isinstance(c, MPoly) else Fraction(c, den)
 
 
 @lru_cache
 def _transvectant_weights(p: int, q: int, k: int) -> tuple:
-    """The (i, l, weight) of (f, g)_k with a nonzero weight, prefactor
-    included, in the order of ``transvectant``'s sum."""
+    """The (i, l, w) of (f, g)_k with a nonzero weight, in the order of the
+    sum, and the lcm den of the weights' denominators: w is den times
+    ``transvectant``'s weight, prefactor included, and an int."""
     pref = Fraction(factorial(p - k) * factorial(q - k), factorial(p) * factorial(q))
     out = []
     for i in range(p + 1):
@@ -260,7 +249,8 @@ def _transvectant_weights(p: int, q: int, k: int) -> tuple:
                          * perm(q - l, j) * perm(l, k - j) for j in range(k + 1))
             if weight:
                 out.append((i, l, weight * pref))
-    return tuple(out)
+    den = lcm(*(w.denominator for _, _, w in out))
+    return tuple((i, l, int(w * den)) for i, l, w in out), den
 
 
 def sylvester_matrix(f: BinaryForm, g: BinaryForm) -> list:

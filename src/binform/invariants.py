@@ -20,8 +20,9 @@ import random
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .forms import BinaryForm, discriminant, transvectant
-from .mpoly import MPoly, _as_exact
+from .forms import (BinaryForm, _over, _transvectant_sum, discriminant,
+                    transvectant)
+from .mpoly import MPoly, _as_exact, _cleared
 
 __all__ = [
     "QuarticInvariants",
@@ -169,11 +170,34 @@ class CovariantChain(NamedTuple):
 def quintic_covariants(quintic: BinaryForm) -> CovariantChain:
     """Compute the covariant chain of a quintic; orders come out (2, 3, 2, 1)."""
     _require_order(quintic, 5, "quintic_covariants")
-    first = transvectant(quintic, quintic, 4)
-    second = transvectant(quintic, first, 2)
-    third = transvectant(second, second, 2)
-    fourth = transvectant(second, first, 2)
-    return CovariantChain(first, second, third, fourth)
+    return CovariantChain(*(BinaryForm([_over(c, scale) for c in form])
+                            for form, scale in _scaled_covariants(quintic)))
+
+
+def _scaled_covariants(quintic: BinaryForm) -> list:
+    """The covariant chain as (coefficients, scale) pairs, each covariant
+    being its coefficients over its int scale.
+
+    A numeric quintic is cleared first, by the lcm m of its coefficient
+    denominators, so that every sum runs on ints; with an MPoly
+    coefficient m = 1.  Each sum carries its weights' den times the scales
+    of its two operands: ``first`` carries d1 * m**2.
+    """
+    f, m = quintic.coeffs, 1
+    if not any(isinstance(c, MPoly) for c in f):
+        (cleared,), m = _cleared([dict(enumerate(f))])
+        f = list(cleared.values())
+    first = _scaled_transvectant((f, m), (f, m), 4)
+    second = _scaled_transvectant((f, m), first, 2)
+    third = _scaled_transvectant(second, second, 2)
+    fourth = _scaled_transvectant(second, first, 2)
+    return [first, second, third, fourth]
+
+
+def _scaled_transvectant(f: tuple, g: tuple, k: int) -> tuple:
+    """(f, g)_k of two (coefficients, scale) pairs, as such a pair."""
+    out, den = _transvectant_sum(f[0], g[0], k)
+    return out, den * f[1] * g[1]
 
 
 def canonizant(quintic: BinaryForm) -> BinaryForm:
@@ -243,16 +267,19 @@ def quintic_invariants(quintic: BinaryForm) -> InvariantVector:
     K =  1/8 (first, third)_2        degree  8
     L = 1/96 (third, third)_2        degree 12
     H = -1/384 ((fourth, third)_1, (first, fourth)_1)_1   degree 18
+
+    Each is one numerator of the scaled chain, divided once.
     """
     _require_order(quintic, 5, "quintic_invariants")
-    chain = quintic_covariants(quintic)
-    j = Fraction(-1, 2) * transvectant(chain.first, chain.first, 2).coeffs[0]
-    k = Fraction(1, 8) * transvectant(chain.first, chain.third, 2).coeffs[0]
-    l = Fraction(1, 96) * transvectant(chain.third, chain.third, 2).coeffs[0]
-    left = transvectant(chain.fourth, chain.third, 1)
-    right = transvectant(chain.first, chain.fourth, 1)
-    h = Fraction(-1, 384) * transvectant(left, right, 1).coeffs[0]
-    return InvariantVector(j, k, l, h)
+    first, _, third, fourth = _scaled_covariants(quintic)
+    left = _scaled_transvectant(fourth, third, 1)
+    right = _scaled_transvectant(first, fourth, 1)
+    values = []
+    for f, g, k, divisor in ((first, first, 2, -2), (first, third, 2, 8),
+                             (third, third, 2, 96), (left, right, 1, -384)):
+        out, scale = _scaled_transvectant(f, g, k)
+        values.append(_over(out[0], divisor * scale))
+    return InvariantVector(*values)
 
 
 def verify_relation(vector: InvariantVector) -> bool:

@@ -170,16 +170,10 @@ class MPoly:
     def variables(self) -> tuple:
         return self._vars
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def __len__(self) -> int:
-        return len(self._terms)
-
-    def term_count(self) -> int:
         return len(self._terms)
 
     def _shift(self, var: str) -> int:
@@ -197,10 +191,6 @@ class MPoly:
         """Yield (exponent_vector, coefficient) in descending graded-lex order."""
         for key in sorted(self._terms, reverse=True):
             yield self._unpack(key), self._terms[key]
-
-    def coefficients(self) -> Iterator[Coeff]:
-        for key in sorted(self._terms, reverse=True):
-            yield self._terms[key]
 
     def total_degree(self) -> int:
         if not self._terms:
@@ -310,16 +300,17 @@ class MPoly:
             raise ValueError("exponent must be a nonnegative integer")
         if self._terms:
             _check_degree(self.total_degree() * exponent)
-        result = MPoly(self._vars, {0: 1}, _clean_input=False)
-        base = self
+        # the base is cleared to ints once, and the power divided once
+        (base,), m = _cleared([self._terms])
+        result = {0: 1}
         e = exponent
         while e:
             if e & 1:
-                result = result * base
+                result = _clean(_addmul({}, result, base))
             e >>= 1
             if e:
-                base = base * base
-        return result
+                base = _clean(_addmul({}, base, base))
+        return MPoly(self._vars, _unscaled(result, m ** exponent))
 
     def __eq__(self, other):
         other = _coerce(other)

@@ -46,7 +46,7 @@ class TestJKLPolynomial:
     def test_construction_cleans(self):
         p = JKLPolynomial({(0, 0, 1): 2, (1, 0, 0): 0})
         assert p.terms == {(0, 0, 1): 2}
-        assert JKLPolynomial({}).is_zero()
+        assert not JKLPolynomial({}).terms
 
     def test_degree_validation(self):
         JKLPolynomial({(2, 0, 0): 1, (0, 0, 6): -1}, degree=24)
@@ -74,7 +74,7 @@ class TestJKLPolynomial:
         p = JKLPolynomial({(1, 0, 0): 1}, degree=12)
         q = JKLPolynomial({(0, 1, 1): 2}, degree=12)
         assert (p + q).terms == {(1, 0, 0): 1, (0, 1, 1): 2}
-        assert (p - p).is_zero()
+        assert not (p - p).terms
         assert (3 * p).terms == {(1, 0, 0): 3}
         product = p * q
         assert product.terms == {(1, 1, 1): 2}
@@ -250,7 +250,7 @@ class TestSymbolicPipeline:
         iv = quintic_invariants(generic_form(5))
         disc = 3125 * (iv.J * iv.J - 128 * iv.K)
         expected = disc * disc * disc * Fraction(1, 2 ** 40)
-        assert (vector.b[0] - expected).is_zero()
+        assert not vector.b[0] - expected
 
     def test_tables_at_generic_JKL_equal_the_entries(self, symbolic_vector):
         # a second route to keyprop: the closed forms evaluated at the
@@ -378,7 +378,7 @@ class TestDecomposeInJKL:
         for poly in polys:
             expanded = poly.evaluate(J=iv.J, K=iv.K, L=iv.L)
             degree = poly.degree
-            if poly.is_zero():
+            if not poly.terms:
                 continue
             assert decompose_in_JKL(expanded, degree) == poly
 

@@ -14,6 +14,7 @@ from binform.forms import (
     discriminant,
     form_from_roots,
     generic_form,
+    transvectant,
 )
 from binform.invariants import (
     CovariantChain,
@@ -141,6 +142,66 @@ class TestCovariantChain:
     def test_wrong_order_rejected(self):
         with pytest.raises(ValueError, match="order 5"):
             quintic_covariants(generic_form(4))
+
+
+def reference_covariants(form):
+    """The chain of the CovariantChain docstring, each transvectant
+    normalised on its own."""
+    first = transvectant(form, form, 4)
+    second = transvectant(form, first, 2)
+    third = transvectant(second, second, 2)
+    fourth = transvectant(second, first, 2)
+    return first, second, third, fourth
+
+
+def reference_invariants(form):
+    """J, K, L, H by the formulas of the quintic_invariants docstring."""
+    first, _, third, fourth = reference_covariants(form)
+    left = transvectant(fourth, third, 1)
+    right = transvectant(first, fourth, 1)
+    return (Fraction(-1, 2) * transvectant(first, first, 2).coeffs[0],
+            Fraction(1, 8) * transvectant(first, third, 2).coeffs[0],
+            Fraction(1, 96) * transvectant(third, third, 2).coeffs[0],
+            Fraction(-1, 384) * transvectant(left, right, 1).coeffs[0])
+
+
+def draw_coefficient(rng, height):
+    if height == "small":
+        return rng.randint(-8, 8)
+    if height == "int20":
+        return rng.randint(-(1 << 20), 1 << 20)
+    return Fraction(rng.randint(-(1 << 63), 1 << 63), rng.randint(1, 1 << 16))
+
+
+class TestScaledChain:
+    """The chain clears the quintic once and carries one scale per
+    covariant; the references divide at every step instead, so a wrong
+    scale cannot cancel out of the comparison."""
+
+    @pytest.mark.parametrize("height", ["small", "int20", "rat64"])
+    def test_equals_the_step_by_step_reference(self, height):
+        rng = random.Random(f"scaled-chain-{height}")
+        for n in range(30):
+            coeffs = [draw_coefficient(rng, height) for _ in range(6)]
+            if n % 3 == 0:
+                coeffs[0] = 0
+            form = BinaryForm(coeffs)
+            vector = quintic_invariants(form)
+            got = (vector.J, vector.K, vector.L, vector.H)
+            assert got == reference_invariants(form)
+            assert all(type(x) is Fraction for x in got)
+            assert tuple(quintic_covariants(form)) == reference_covariants(form)
+
+    def test_partly_symbolic_form_with_rational_coefficients(self):
+        # an MPoly coefficient sends the chain down m = 1, with the other
+        # coefficients left as Fractions
+        a1 = MPoly.variable("a1")
+        form = BinaryForm([Fraction(1, 3), a1, 0, Fraction(-2, 5), 7,
+                           Fraction(5, 4)])
+        vector = quintic_invariants(form)
+        assert (vector.J, vector.K, vector.L, vector.H) == \
+            reference_invariants(form)
+        assert tuple(quintic_covariants(form)) == reference_covariants(form)
 
 
 class TestQuinticInvariants:

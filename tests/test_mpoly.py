@@ -33,7 +33,6 @@ def random_poly(rng, variables=("x", "y", "z"), max_terms=6, max_exp=4,
 
 class TestConstruction:
     def test_zero_and_constant(self):
-        assert MPoly.zero().is_zero()
         assert not MPoly.zero()
         assert MPoly.constant(7).constant_value() == 7
         assert MPoly.constant(Fraction(3, 6)).constant_value() == Fraction(1, 2)
@@ -56,7 +55,7 @@ class TestConstruction:
 
     def test_integral_coefficients_stay_integral(self):
         p = (X * Fraction(1, 3)) * 3
-        for c in p.coefficients():
+        for _, c in p.terms():
             assert isinstance(c, int)
 
 
@@ -207,7 +206,7 @@ class TestExponentOverflow:
         # a scalar or 0 lowers the degree
         g = X ** 40000 * Y ** 25535
         assert g.substitute({"y": 3}) == 3 ** 25535 * X ** 40000
-        assert g.substitute({"y": 0}).is_zero()
+        assert not g.substitute({"y": 0})
 
     def test_from_terms(self):
         with pytest.raises(OverflowError):
@@ -254,7 +253,7 @@ class TestMonicDivision:
         g = X ** 3 + Y * X + 1
         f = (X ** 2 - Y + 2) * g
         q, r = monic_divrem(f, g, "x")
-        assert r.is_zero()
+        assert not r
         assert q == X ** 2 - Y + 2
 
     def test_rejects_nonmonic(self):
@@ -310,7 +309,7 @@ class TestDeterminant:
         other = [[random.Random(41).randrange(-5, 6) for _ in range(4)]
                  for _ in range(2)]
         matrix = [row] + other + [row]
-        assert det_fraction_free(matrix).is_zero()
+        assert not det_fraction_free(matrix)
 
     def test_rational_entries(self):
         matrix = [[Fraction(1, 2), Fraction(1, 3)],
