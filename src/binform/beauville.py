@@ -29,7 +29,7 @@ from .invariants import (
     SylvesterPoint,
 )
 from .mpoly import (MPoly, _as_exact, _as_fraction, _cleared, _monomials,
-                    monic_divrem)
+                    _rehomogenize, monic_divrem)
 
 __all__ = [
     "JKLPolynomial",
@@ -330,23 +330,6 @@ def _core_pipeline(tail) -> TschirnhausTrace:
     # coefficients has no z in its universe
     r_bar = r_bar.in_universe(set(r_bar.variables) | {"z"})
     return TschirnhausTrace(quartic.binomial_coeffs(), phi, phi_bar, r_bar)
-
-
-def _rehomogenize(poly: MPoly, var: str, total_degree: int) -> MPoly:
-    """Insert ``var`` so every term reaches the given total degree."""
-    if var in poly.variables:
-        raise ValueError(f"variable {var!r} already present")
-    target = tuple(sorted(poly.variables + (var,)))
-    position = target.index(var)
-    items = {}
-    for exps, c in poly.terms():
-        degree = sum(exps)
-        if degree > total_degree:
-            raise ValueError("term degree exceeds homogenization target")
-        padded = list(exps)
-        padded.insert(position, total_degree - degree)
-        items[tuple(padded)] = c
-    return MPoly.from_terms(target, items)
 
 
 def _symbol_name(poly: MPoly):

@@ -1,6 +1,7 @@
 """The degree-24 invariants: pipeline vs closed forms, JKL decomposition,
 degree-48 products, factor splitting, equivalence, and five-point data."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from binform.invariants import (
     quintic_invariants,
     sylvester_specialize,
 )
-from binform.mpoly import MPoly
+from binform.mpoly import MPoly, format_poly
 
 
 def random_stable_quintic(rng, bound=9):
@@ -266,6 +267,14 @@ class TestSymbolicPipeline:
         assert trace.phi.degree("z") == 1
         assert trace.phi_bar.degree("lam") <= 4
         assert trace.r_bar.degree("z") == 5
+
+    def test_resultant_is_pinned_term_for_term(self, symbolic_vector):
+        # the generic r_bar over Q[a1..a5, z], as the unpacked determinant
+        # computed it
+        _, trace = symbolic_vector
+        assert len(trace.r_bar) == 14859
+        assert hashlib.sha256(format_poly(trace.r_bar).encode()).hexdigest() \
+            == "4b50634be497aa559a8c10ee76d79fbe849ec80f4aca5a5a61fd560337bdd667"
 
     def test_verify_keyprop_with_reused_vector(self, symbolic_vector):
         vector, _ = symbolic_vector

@@ -118,6 +118,100 @@ def test_det_of_sylvester_shape_matches_sympy(data):
     assert sympy.expand(to_sympy(det) - sympy_det(rows)) == 0
 
 
+# coefficients past 64 bits, so the packing width is past 64 bits too
+wide = st.integers(2 ** 64, 2 ** 100).flatmap(
+    lambda c: st.sampled_from((c, -c, Fraction(c, 3))))
+
+
+def term(names, exps, c):
+    return MPoly.from_terms(names, {tuple(exps[v] for v in names): c})
+
+
+@st.composite
+def packed_matrices(draw):
+    """Square matrices up to 5x5 over two or three variables, which
+    det_fraction_free takes through its Kronecker-packed path:
+    coefficients past 64 bits, signs that alternate between adjacent
+    powers of a variable, so the decoding borrows, degrees up to three,
+    a zero column and singular matrices.  Two kinds test the packing
+    width: a permuted diagonal of one-term entries, whose determinant's
+    coefficient is exactly the width bound B (any other choice of one
+    entry per column adds to B and not to the determinant), and Hadamard
+    +-1 patterns times a monomial, whose coefficient is n^(n/2)."""
+    names = draw(st.sampled_from((("x", "z"), ("x", "y", "z"))))
+    kind = draw(st.sampled_from(("random", "alternating", "bound",
+                                 "hadamard")))
+    exponents = st.fixed_dictionaries({v: st.integers(0, 3) for v in names})
+    if kind == "hadamard":
+        n = draw(st.sampled_from((1, 2, 4)))
+        exps = draw(exponents)
+        return [[term(names, exps, (-1) ** bin(i & j).count("1"))
+                 for j in range(n)] for i in range(n)]
+    n = draw(st.integers(0, 5))
+    if kind == "bound":
+        order = draw(st.permutations(range(n)))
+        rows = [[0] * n for _ in range(n)]
+        for i, j in enumerate(order):
+            rows[i][j] = term(names, draw(exponents),
+                              draw(st.one_of(wide, integers.filter(bool))))
+        return rows
+    coefficients = st.one_of(integers, rationals, wide)
+
+    def entry():
+        out = MPoly.zero(names)
+        if kind == "alternating":
+            # c, -c, c, ... along the powers of one variable
+            v, c, base = (draw(st.sampled_from(names)), draw(wide),
+                          draw(exponents))
+            for e in range(draw(st.integers(1, 4))):
+                out = out + term(names, {**base, v: e}, (-1) ** e * c)
+            return out
+        for _ in range(draw(st.integers(0, 3))):
+            out = out + term(names, draw(exponents), draw(coefficients))
+        return out
+
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    if n and draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = 0
+    if n > 1 and draw(st.booleans()):
+        # a row repeated up to a factor: the matrix is singular
+        i, k = draw(st.permutations(range(n)))[:2]
+        rows[i] = [e * draw(rationals) for e in rows[k]]
+    return rows
+
+
+@DIFFERENTIAL
+@given(packed_matrices())
+def test_packed_det_matches_sympy(rows):
+    det = det_fraction_free(rows)
+    assert sympy.expand(to_sympy(det) - sympy_det(rows)) == 0
+
+
+@DIFFERENTIAL
+@given(packed_matrices())
+def test_det_is_the_same_whichever_variable_is_packed(rows):
+    # an extra diagonal entry x^a * y^b * z^c evens the column-degree
+    # bounds of x and z and lifts y's to at least theirs, and ties go to
+    # the later name, so swapping the names x and z swaps which of the two
+    # is packed
+    names = ("x", "y", "z")
+    rows = [[MPoly.constant(e, names) if not isinstance(e, MPoly)
+             else e.in_universe(names) for e in row] for row in rows]
+    bound = {v: sum(max(0, *(e.degree(v) for e in col))
+                    for col in zip(*rows)) for v in names}
+    top = max(bound["x"], bound["z"])
+    corner = term(names, {v: max(0, top - bound[v]) for v in names}, 1)
+    rows = [row + [0] for row in rows] + [[0] * len(rows) + [corner]]
+    swap = {"x": MPoly.variable("z"), "z": MPoly.variable("x")}
+    swapped = [[e.substitute(swap) if isinstance(e, MPoly) else e
+                for e in row] for row in rows]
+    det = det_fraction_free(rows)
+    assert det_fraction_free(swapped).substitute(swap) == det
+    assert sympy.expand(to_sympy(det) - sympy_det(rows)) == 0
+
+
 @DIFFERENTIAL
 @given(st.data())
 def test_resultant_matches_sympy(data):

@@ -8,6 +8,7 @@ import pytest
 
 from binform.mpoly import (
     MPoly,
+    _rehomogenize,
     det_fraction_free,
     format_poly,
     monic_divrem,
@@ -218,6 +219,14 @@ class TestExponentOverflow:
         with pytest.raises(OverflowError):
             det_fraction_free([[X ** 40000, 0], [0, X ** 30000]])
         assert det_fraction_free([[X ** 40000, 0], [0, X ** 25535]]) == X ** 65535
+        # two variables: y is packed into the coefficients, so x's degree
+        # is checked per product and the total degree once y is decoded
+        with pytest.raises(OverflowError):
+            det_fraction_free([[X ** 40000 * Y, 0], [0, X ** 30000 * Y]])
+        with pytest.raises(OverflowError):
+            det_fraction_free([[X ** 40000 * Y, 0], [0, X ** 25534 * Y]])
+        assert det_fraction_free([[X ** 40000 * Y, 0], [0, X ** 25533 * Y]]) \
+            == X ** 65533 * Y ** 2
 
     def test_monic_divrem(self):
         lam, y = MPoly.variable("lam"), MPoly.variable("y")
@@ -323,3 +332,22 @@ class TestDeterminant:
             det_fraction_free([[1, 2], [3]])
         with pytest.raises(ValueError, match="square"):
             det_fraction_free([[1, 2]])
+
+
+class TestRehomogenize:
+    def test_pads_every_term_to_the_target_degree(self):
+        rng = random.Random(43)
+        for _ in range(10):
+            f = random_poly(rng, variables=("a1", "a2", "z"), rational=True)
+            padded = _rehomogenize(f, "a0", 12)
+            expected = MPoly.from_terms(
+                ("a0", "a1", "a2", "z"),
+                {(12 - sum(exps), *exps): c for exps, c in f.terms()})
+            assert padded == expected
+            assert padded.variables == ("a0", "a1", "a2", "z")
+
+    def test_rejects_a_present_variable_or_a_higher_term(self):
+        with pytest.raises(ValueError, match="already present"):
+            _rehomogenize(X + Y, "x", 3)
+        with pytest.raises(ValueError, match="exceeds"):
+            _rehomogenize(X ** 4 + Y, "a", 3)
