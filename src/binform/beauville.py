@@ -594,6 +594,17 @@ def prop48_rank():
     return matrix, len(pivots)
 
 
+def _thm48_degree(alpha) -> int:
+    """The degree of a JKL exponent triple that thm48_decompose splits;
+    any triple but three nonnegative ints of degree 48k raises."""
+    if min(_int_triple(alpha)) < 0:
+        raise ValueError("exponents must be nonnegative")
+    degree = _triple_degree(alpha)
+    if degree % 48:
+        raise ValueError("degree not divisible by 48")
+    return degree
+
+
 def thm48_decompose(alpha):
     """Split a JKL exponent triple of degree divisible by 48 into factors of
     degree exactly 48.
@@ -603,12 +614,8 @@ def thm48_decompose(alpha):
     degree-96 case splits as (L**g1 J**(12-3g1)) * (K**g2 J**(12-2g2)).
     Factors sum componentwise to the input.
     """
-    a1, a2, a3 = _int_triple(alpha)
-    if a1 < 0 or a2 < 0 or a3 < 0:
-        raise ValueError("exponents must be nonnegative")
-    degree = 12 * a1 + 8 * a2 + 4 * a3
-    if degree % 48:
-        raise ValueError("degree not divisible by 48")
+    a1, a2, a3 = alpha = _int_triple(alpha)
+    degree = _thm48_degree(alpha)
     if degree == 0:
         return []
     if degree == 48:
@@ -653,7 +660,7 @@ def _exact_sqrt(value: Fraction):
 
 
 # the witness key of r = X2/X1 = s^(d/2) for a pinning invariant X of degree d
-_WITNESS_KEYS = {2: "s_squared", 4: "s_fourth", 6: "s_sixth"}
+_WITNESS_KEYS = {2: "s_squared", 4: "s_fourth"}
 
 
 def equivalence_witness(first: BinaryForm, second: BinaryForm) -> dict:
@@ -669,7 +676,9 @@ def equivalence_witness(first: BinaryForm, second: BinaryForm) -> dict:
     with s eliminated, checked through powers so that s may be any root of
     r, as solvability over an algebraically closed field demands.  H fixes
     the sign of s: when J pins r with a rational square root rho, the
-    witness s is the one of rho, -rho with H2 = s^9 H1.
+    witness s is the one of rho, -rho with H2 = s^9 H1.  J or K always
+    pins: Disc = 3125 (J^2 - 128 K) is nonzero in a stable form, so J and
+    K never both vanish.
     """
     v1 = _numeric_invariants(first, "equivalence_witness")
     v2 = _numeric_invariants(second, "equivalence_witness")
@@ -694,8 +703,6 @@ def equivalence_witness(first: BinaryForm, second: BinaryForm) -> dict:
         if pinned is None and x1:
             pinned, dx, r = name, d, x2 / x1
 
-    if pinned is None:
-        return {"equivalent": True, "pinned_by": "none"}
     witness = {"equivalent": True, "pinned_by": pinned,
                _WITNESS_KEYS[dx // 2]: str(r)}
     root = _exact_sqrt(r) if pinned == "J" else None

@@ -19,6 +19,7 @@ import time
 from fractions import Fraction
 
 from .beauville import (
+    _thm48_degree,
     beauville_closed_form,
     beauville_pipeline,
     equivalence_witness,
@@ -141,38 +142,44 @@ def _cmd_dim(args) -> int:
     return 0
 
 
-_MAX_BASIS = 10 ** 6
+# the most triples that basis or decompose48 prints
+_MAX_TRIPLES = 10 ** 6
+
+
+def _print_triples(triples, payload, as_json: bool) -> None:
+    """Print the triples one a line, or with as_json the bytes of
+    _emit(payload) with the triples filled, as lists, into the empty list
+    that is payload's last value; one triple is written at a time."""
+    if not as_json:
+        for a1, a2, a3 in triples:
+            print(f"({a1},{a2},{a3})")
+        return
+    write = sys.stdout.write
+    write(json.dumps(payload, indent=2)[:-3])   # up to the '[' of '[]\n}'
+    separator = "\n"
+    for a1, a2, a3 in triples:
+        write(f"{separator}    [\n      {a1},\n      {a2},\n      {a3}\n    ]")
+        separator = ",\n"
+    write("]\n}\n" if separator == "\n" else "\n  ]\n}\n")
 
 
 def _cmd_basis(args) -> int:
-    if graded_dimension(args.degree) > _MAX_BASIS:
+    if graded_dimension(args.degree) > _MAX_TRIPLES:
         raise ValueError(
-            f"basis larger than the limit of {_MAX_BASIS} monomials")
-    basis = iter_monomial_basis(args.degree)
-    if not args.json:
-        for a1, a2, a3 in basis:
-            print(f"({a1},{a2},{a3})")
-        return 0
-    # the bytes of _emit({"degree": d, "basis": [[a1, a2, a3], ...]}),
-    # written a triple at a time; the basis always holds (0, 0, d/4)
-    write = sys.stdout.write
-    write(f'{{\n  "degree": {args.degree},\n  "basis": [')
-    separator = "\n"
-    for a1, a2, a3 in basis:
-        write(f"{separator}    [\n      {a1},\n      {a2},\n      {a3}\n    ]")
-        separator = ",\n"
-    write("\n  ]\n}\n")
+            f"basis larger than the limit of {_MAX_TRIPLES} monomials")
+    _print_triples(iter_monomial_basis(args.degree),
+                   {"degree": args.degree, "basis": []}, args.json)
     return 0
 
 
 def _cmd_decompose48(args) -> int:
-    factors = thm48_decompose((args.a1, args.a2, args.a3))
-    if args.json:
-        _emit({"input": [args.a1, args.a2, args.a3],
-               "factors": [list(triple) for triple in factors]})
-    else:
-        for a1, a2, a3 in factors:
-            print(f"({a1},{a2},{a3})")
+    alpha = (args.a1, args.a2, args.a3)
+    # the factors have degree 48 each and sum to alpha
+    if _thm48_degree(alpha) // 48 > _MAX_TRIPLES:
+        raise ValueError(
+            f"decomposition larger than the limit of {_MAX_TRIPLES} factors")
+    _print_triples(thm48_decompose(alpha),
+                   {"input": list(alpha), "factors": []}, args.json)
     return 0
 
 

@@ -110,17 +110,6 @@ class BinaryForm:
             acc = acc + c * v1 ** (p - i) * v2 ** i
         return acc
 
-    @classmethod
-    def from_mpoly(cls, f: MPoly, order: int, x1: str = "x1",
-                   x2: str = "x2") -> "BinaryForm":
-        f = f.in_universe(sorted(set(f.variables) | {x1, x2}))
-        coeffs = [f.coefficient(x1, order - i).coefficient(x2, i)
-                  for i in range(order + 1)]
-        got = cls(coeffs)
-        if got.to_mpoly(x1, x2) != f:
-            raise ValueError(f"polynomial is not a binary form of order {order}")
-        return got
-
     def diff_x1(self) -> "BinaryForm":
         p = self.order
         if p == 0:

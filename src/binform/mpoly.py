@@ -20,13 +20,12 @@ import operator
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 __all__ = [
-    "MPoly", "det_fraction_free", "format_poly", "monic_divrem", "parse_poly",
+    "MPoly", "det_fraction_free", "format_poly", "monic_divrem",
 ]
 
-Coeff = Union[int, Fraction]
 Scalar = Union[int, Fraction]
 
 _BITS = 16
@@ -41,12 +40,10 @@ def _check_degree(degree: int) -> None:
             f"total degree {degree} exceeds the supported maximum {_MASK}")
 
 
-def _norm_coeff(c: Coeff) -> Coeff:
+def _norm_coeff(c: Scalar) -> Scalar:
     # store denominator-1 values as int so hot loops run native arithmetic
     if type(c) is Fraction and c.denominator == 1:
         return c.numerator
-    if type(c) is bool:
-        return int(c)
     return c
 
 
@@ -107,11 +104,11 @@ def _monomials(exponents, bases, one=1, mul=operator.mul) -> list:
 
 
 def _as_fraction(x) -> Fraction:
+    """An int or a Fraction as a Fraction; anything else, a str, bool or
+    float included, raises TypeError: the library's one rule for numbers."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -425,7 +422,7 @@ def _coerce(x):
 
 def _as_exact(x):
     """A number or a constant MPoly as a Fraction, any other MPoly as it
-    is; a float raises TypeError."""
+    is; anything else raises TypeError, as in ``_as_fraction``."""
     if isinstance(x, MPoly):
         return x.constant_value() if x.total_degree() <= 0 else x
     return _as_fraction(x)
@@ -478,7 +475,9 @@ def _rehomogenize(poly: MPoly, var: str, total_degree: int) -> MPoly:
 # -- canonical text format -------------------------------------------------
 
 def format_poly(f: MPoly) -> str:
-    """Canonical text rendering; ``parse_poly(format_poly(f)) == f``."""
+    """Canonical text: the terms in descending graded-lex order joined by
+    `` + `` or `` - ``, each an int or ``p/q`` coefficient (left out when 1)
+    and ``*``-joined powers ``v^e``; the zero polynomial is ``0``."""
     if not f._terms:
         return "0"
     pieces = []
@@ -500,105 +499,6 @@ def format_poly(f: MPoly) -> str:
     for neg, body in pieces[1:]:
         out.append((" - " if neg else " + ") + body)
     return "".join(out)
-
-
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([+\-*/^]))")
-
-
-def _tokenize(text: str) -> list:
-    tokens = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if not m or m.end() == i:
-            if text[i:].strip():
-                raise ValueError(f"cannot parse polynomial near {text[i:i+12]!r}")
-            break
-        if m.group(1) is not None:
-            tokens.append(("num", int(m.group(1))))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2)))
-        else:
-            tokens.append(("op", m.group(3)))
-        i = m.end()
-    return tokens
-
-
-def parse_poly(text: str, variables: Iterable[str] = ()) -> MPoly:
-    """Parse the canonical text format (signs, ``*`` factors, ``^`` powers,
-    rational coefficients written ``p/q``).  Extra universe variables may be
-    supplied; variables found in the text are added automatically.
-    """
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, None)
-
-    raw_terms = []
-    names = set(variables)
-    expect_term = True
-    sign = 1
-    while pos < len(tokens):
-        kind, val = peek()
-        if kind == "op" and val in "+-":
-            if expect_term and val == "-":
-                sign = -sign
-            elif expect_term:
-                pass
-            else:
-                sign = -1 if val == "-" else 1
-                expect_term = True
-            pos += 1
-            continue
-        if not expect_term:
-            raise ValueError("missing operator between terms")
-        # one term: factors joined by '*'
-        coeff = Fraction(sign)
-        exps: dict = {}
-        while True:
-            kind, val = peek()
-            if kind == "num":
-                pos += 1
-                num = val
-                if peek() == ("op", "/"):
-                    pos += 1
-                    kind2, den = peek()
-                    if kind2 != "num" or den == 0:
-                        raise ValueError("bad rational coefficient")
-                    pos += 1
-                    coeff *= Fraction(num, den)
-                else:
-                    coeff *= num
-            elif kind == "name":
-                pos += 1
-                e = 1
-                if peek() == ("op", "^"):
-                    pos += 1
-                    kind2, ev = peek()
-                    if kind2 != "num":
-                        raise ValueError("bad exponent")
-                    pos += 1
-                    e = ev
-                names.add(val)
-                exps[val] = exps.get(val, 0) + e
-            else:
-                raise ValueError("expected a coefficient or variable")
-            if peek() == ("op", "*"):
-                pos += 1
-                continue
-            break
-        raw_terms.append((coeff, exps))
-        sign = 1
-        expect_term = False
-    if expect_term and raw_terms:
-        raise ValueError("dangling sign")
-    vs = tuple(sorted(names))
-    acc: dict = {}
-    for coeff, exps in raw_terms:
-        vec = tuple(exps.get(v, 0) for v in vs)
-        acc[vec] = acc.get(vec, 0) + coeff
-    return MPoly.from_terms(vs, acc)
 
 
 # -- univariate-style division --------------------------------------------

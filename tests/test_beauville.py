@@ -60,6 +60,10 @@ class TestJKLPolynomial:
         with pytest.raises(TypeError, match="exact rational"):
             JKLPolynomial({(0, 0, 6): 0.1})
 
+    def test_text_coefficient_rejected(self):
+        with pytest.raises(TypeError, match="exact rational"):
+            JKLPolynomial({(0, 0, 6): "1"})
+
     def test_float_exponent_rejected(self):
         with pytest.raises(TypeError, match="not an int"):
             JKLPolynomial({(1.5, 0, 0): 1}, degree=12)
@@ -303,6 +307,17 @@ class TestSymbolicPipeline:
                           MPoly.variable("a4"), MPoly.variable("a5")])
         with pytest.raises(TypeError, match="distinct"):
             beauville_pipeline(bad)
+
+    def test_unit_leading_coefficient_is_rehomogenized(self, symbolic_vector):
+        # with a0 = 1 the symbol a0 is put back by rehomogenizing
+        tail = [MPoly.variable(f"a{i}") for i in range(1, 6)]
+        vector, _ = beauville_pipeline(BinaryForm([1, *tail]))
+        assert vector.b == symbolic_vector[0].b
+
+    def test_pipeline_rejects_reused_leading_symbol(self):
+        tail = [MPoly.variable(f"a{i}") for i in range(1, 6)]
+        with pytest.raises(TypeError, match="reused in the tail"):
+            beauville_pipeline(BinaryForm([tail[0], *tail]))
 
     def test_pipeline_rejects_non_symbol_leading_coefficient(self):
         a = [MPoly.variable(f"a{i}") for i in range(6)]

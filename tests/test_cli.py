@@ -14,7 +14,7 @@ from conftest import run_cli
 
 from binform.cli import main as cli_main
 
-from binform.beauville import beauville_closed_form
+from binform.beauville import beauville_closed_form, thm48_decompose
 from binform.forms import BinaryForm
 from binform.invariants import monomial_basis, quintic_invariants
 
@@ -274,6 +274,34 @@ class TestDimBasisDecompose48:
         assert code == 0
         assert json.loads(out) == {"input": [1, 0, 21],
                                    "factors": [[1, 0, 9], [0, 0, 12]]}
+
+    @pytest.mark.parametrize("alpha", [(0, 0, 0), (4, 0, 0), (1, 0, 21),
+                                       (5, 7, 19), (8, 12, 24)])
+    def test_streamed_decompose48_json_is_json_dumps(self, alpha):
+        argv = ["decompose48", *map(str, alpha), "--json"]
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        assert out == json.dumps(
+            {"input": list(alpha),
+             "factors": [list(triple) for triple in thm48_decompose(alpha)]},
+            indent=2) + "\n"
+
+    @pytest.mark.parametrize("a1", ["4000004", "4" + "0" * 3000],
+                             ids=["just-over", "3001-digits"])
+    def test_decompose48_beyond_the_limit_exits_before_splitting(
+            self, a1, monkeypatch):
+        # 4000000 0 0 has exactly 10**6 factors of degree 48
+        def split(alpha):
+            raise AssertionError("decomposition computed")
+
+        monkeypatch.setattr("binform.cli.thm48_decompose", split)
+        for argv in (["decompose48", a1, "0", "0"],
+                     ["decompose48", a1, "0", "0", "--json"]):
+            code, out, err = run_cli(argv)
+            assert code == 2
+            assert out == ""
+            assert err == ("error: decomposition larger than the limit of"
+                           " 1000000 factors\n")
 
     def test_decompose48_bad_degree(self):
         code, _, err = run_cli(["decompose48", "1", "0", "0"])

@@ -22,7 +22,7 @@ from binform.forms import (BinaryForm, discriminant, generic_form, resultant,
                            sylvester_matrix, transvectant)
 from binform.invariants import quintic_invariants
 from binform.mpoly import (MPoly, _addmul, det_fraction_free, format_poly,
-                           monic_divrem, parse_poly)
+                           monic_divrem)
 from conftest import run_cli
 
 settings.register_profile(
@@ -340,10 +340,10 @@ def test_ring_operations_match_sympy(f, g, e):
 
 @DIFFERENTIAL
 @given(st.one_of(polynomials(NAMES, 6), rationals.map(MPoly.constant)))
-def test_format_parse_round_trip(f):
-    text = format_poly(f)
-    assert parse_poly(text) == f
-    assert format_poly(parse_poly(text)) == text
+def test_format_reads_back_in_sympy(f):
+    text = format_poly(f).replace("^", "**")
+    assert sympy.Poly(sympy.sympify(text), *GENERATORS, domain="QQ") \
+        == sympy_poly(f)
 
 
 @DIFFERENTIAL

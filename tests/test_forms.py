@@ -62,6 +62,11 @@ class TestGroupElement:
         with pytest.raises(TypeError, match="exact rational"):
             GroupElement(0.1, 0, 0, 1)
 
+    @pytest.mark.parametrize("entry", ["1", True])
+    def test_text_and_bool_entries_rejected(self, entry):
+        with pytest.raises(TypeError, match="exact rational"):
+            GroupElement(entry, 0, 0, 1)
+
     def test_composition_is_matrix_product(self):
         rng = random.Random(3)
         for _ in range(10):
@@ -99,22 +104,17 @@ class TestBinaryForm:
         with pytest.raises(ValueError):
             BinaryForm([])
 
+    @pytest.mark.parametrize("lead", ["1/2", "1e4000000", True, 0.5])
+    def test_non_rational_coefficient_rejected(self, lead):
+        # text is parsed only by the command line, which bounds its size
+        with pytest.raises(TypeError, match="exact rational"):
+            BinaryForm([lead, 0, 0, 0, 0, 1])
+
     def test_binomial_round_trip(self):
         q = BinaryForm([1, 8, 18, 16, 5])
         assert list(q.binomial_coeffs()) == [1, 2, 3, 4, 5]
         with pytest.raises(ValueError, match="quartics"):
             BinaryForm([1, 0, 0]).binomial_coeffs()
-
-    def test_mpoly_round_trip(self):
-        rng = random.Random(5)
-        for _ in range(10):
-            f = random_form(rng, rng.randrange(1, 6))
-            assert BinaryForm.from_mpoly(f.to_mpoly(), f.order) == f
-
-    def test_from_mpoly_rejects_inhomogeneous(self):
-        p = MPoly.variable("x1") ** 2 + MPoly.variable("x2")
-        with pytest.raises(ValueError, match="binary form"):
-            BinaryForm.from_mpoly(p, 2)
 
     def test_partials_match_mpoly_diff(self):
         rng = random.Random(7)

@@ -12,7 +12,6 @@ from binform.mpoly import (
     det_fraction_free,
     format_poly,
     monic_divrem,
-    parse_poly,
 )
 
 X = MPoly.variable("x")
@@ -38,6 +37,15 @@ class TestConstruction:
         assert MPoly.constant(7).constant_value() == 7
         assert MPoly.constant(Fraction(3, 6)).constant_value() == Fraction(1, 2)
         assert len(MPoly.constant(0)) == 0
+
+    @pytest.mark.parametrize("value", ["1", "1/2", True, False, 0.5])
+    def test_only_ints_and_fractions_are_numbers(self, value):
+        with pytest.raises(TypeError, match="exact rational"):
+            MPoly.constant(value)
+        with pytest.raises(TypeError, match="exact rational"):
+            MPoly.from_terms(("x",), {(1,): value})
+        with pytest.raises(TypeError, match="exact rational"):
+            X / value
 
     def test_variable(self):
         assert X.variables == ("x",)
@@ -148,23 +156,11 @@ class TestCalculusAndSubstitution:
 
 
 class TestTextFormat:
-    def test_round_trip_random(self):
-        rng = random.Random(29)
-        for _ in range(25):
-            f = random_poly(rng, rational=True)
-            assert parse_poly(format_poly(f)) == f
-
     def test_canonical_examples(self):
         assert format_poly(MPoly.zero()) == "0"
-        p = parse_poly("x^2 - 2/3*x*y + 1")
-        assert p.coefficient("x", 1).coefficient("y", 1).constant_value() \
-            == Fraction(-2, 3)
+        p = MPoly.from_terms(("x", "y"), {(0, 0): 1, (1, 1): Fraction(-2, 3),
+                                          (2, 0): 1})
         assert format_poly(p) == "x^2 - 2/3*x*y + 1"
-
-    def test_parse_rejects_garbage(self):
-        for bad in ("x +", "1//2", "x^", "(x", "x**2"):
-            with pytest.raises(ValueError):
-                parse_poly(bad)
 
 
 class TestExponentOverflow:
@@ -234,14 +230,6 @@ class TestExponentOverflow:
             monic_divrem(lam ** 2, lam + y ** 65535, "lam")
         q, r = monic_divrem(lam ** 2, lam + y ** 30000, "lam")
         assert q * (lam + y ** 30000) + r == lam ** 2
-
-    def test_parse_poly(self):
-        with pytest.raises(OverflowError):
-            parse_poly("x^65536")
-        with pytest.raises(OverflowError):
-            parse_poly("x^40000*y^30000")
-        with pytest.raises(OverflowError):
-            parse_poly("x^40000*x^30000")
 
 
 class TestMonicDivision:
