@@ -14,7 +14,7 @@ decides scaled-GL2 equivalence and equality of five-point j-data.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .forms import BinaryForm, GroupElement, act, resultant, weight_of
 from .invariants import (
@@ -28,8 +28,8 @@ from .invariants import (
     sylvester_specialize,
     SylvesterPoint,
 )
-from .mpoly import (MPoly, _as_exact, _as_fraction, _cleared, _monomials,
-                    _rehomogenize, monic_divrem)
+from .mpoly import (_BITS, _MASK, MPoly, _addmul, _as_exact, _as_fraction,
+                    _cleared, _monomials, _rehomogenize, monic_divrem)
 
 __all__ = [
     "JKLPolynomial",
@@ -323,13 +323,21 @@ def _core_pipeline(tail) -> TschirnhausTrace:
     quartic = quartic_of_root(tail[:4], lam)
     phi = build_phi(quartic, "z")
     _, phi_bar = monic_divrem(phi, lam * quartic.coeffs[4] + tail[4], "lam")
-    r_bar = resultant(
-        BinaryForm([1, *tail]),
-        BinaryForm([phi_bar.coefficient("lam", 4 - i) for i in range(5)]))
+    r_bar = resultant(BinaryForm([1, *tail]),
+                      BinaryForm(_split(phi_bar, "lam", 4)))
     # a fivefold root makes r_bar zero, and a zero built from constant
     # coefficients has no z in its universe
     r_bar = r_bar.in_universe(set(r_bar.variables) | {"z"})
     return TschirnhausTrace(quartic.binomial_coeffs(), phi, phi_bar, r_bar)
+
+
+def _split(poly: MPoly, var: str, degree: int) -> list:
+    """The coefficients of var**degree, ..., var**0 in poly, from one pass
+    over its terms (zero above poly's degree in var)."""
+    split = poly.coefficients(var)
+    zero = MPoly.zero(v for v in poly.variables if v != var)
+    return [split[e] if e < len(split) else zero
+            for e in range(degree, -1, -1)]
 
 
 def _symbol_name(poly: MPoly):
@@ -365,9 +373,8 @@ def beauville_pipeline(quintic: BinaryForm):
         tail = [v / lead for v in working[1:]]
         trace = _core_pipeline(tail)
         scale = lead ** 24
-        entries = [
-            scale * trace.r_bar.coefficient("z", 5 - i).constant_value()
-            for i in range(6)]
+        entries = [scale * c.constant_value()
+                   for c in _split(trace.r_bar, "z", 5)]
         return BeauvilleVector(entries), trace
 
     names = [_symbol_name(c) for c in quintic.coeffs]
@@ -387,8 +394,8 @@ def beauville_pipeline(quintic: BinaryForm):
 
     tail = [MPoly.variable(n) for n in tail_names]
     trace = _core_pipeline(tail)
-    entries = [_rehomogenize(trace.r_bar.coefficient("z", 5 - i), lead_name, 24)
-               for i in range(6)]
+    entries = [_rehomogenize(c, lead_name, 24)
+               for c in _split(trace.r_bar, "z", 5)]
     return BeauvilleVector(entries), trace
 
 
@@ -431,9 +438,9 @@ def decompose_in_JKL(invariant_poly: MPoly, degree: int) -> JKLPolynomial:
         raise ValueError(f"unexpected variables: {sorted(extra)}")
     if degree <= 0 or degree % 4:
         raise ValueError("degree must be a positive multiple of 4")
-    for exps, _ in invariant_poly.terms():
-        if sum(exps) != degree:
-            raise ValueError(f"input is not homogeneous of degree {degree}")
+    dsh = len(invariant_poly.variables) * _BITS
+    if any(key >> dsh != degree for key in invariant_poly._terms):
+        raise ValueError(f"input is not homogeneous of degree {degree}")
     _require_invariant(invariant_poly, degree)
 
     point = SylvesterPoint.symbolic()
@@ -442,10 +449,12 @@ def decompose_in_JKL(invariant_poly: MPoly, degree: int) -> JKLPolynomial:
 
     basis = monomial_basis(degree)
     closed = sylvester_invariants(point)
-    columns = _monomials(basis, (closed.L, closed.K, closed.J))
-    # one equation per monomial in u, v, w; the target is the last column
-    maps = [dict(p.in_universe(("u", "v", "w")).terms())
-            for p in columns + [specialized]]
+    uvw = ("u", "v", "w")
+    # the basis columns as term dicts over u, v, w; the target is the last
+    bases = [p.in_universe(uvw)._terms for p in (closed.L, closed.K, closed.J)]
+    columns = _monomials(basis, bases, {0: 1}, lambda f, g: _addmul({}, f, g))
+    maps = columns + [specialized.in_universe(uvw)._terms]
+    # one equation per monomial in u, v, w
     keys = sorted(set().union(*maps))
     rows, pivots = _row_reduce(
         [[m.get(key, 0) for m in maps] for key in keys], len(basis))
@@ -470,20 +479,25 @@ def _require_invariant(poly: MPoly, degree: int) -> None:
     by (5 - i) e_(i+1).
     """
     poly = poly.in_universe(_COEFF_NAMES)
-    shifts = [poly._shift(name) for name in _COEFF_NAMES]
     weight = weight_of(degree, 5, 0)
+    # per a_i, i = 1..5: its field's shift, the key change that moves one
+    # unit of exponent from a_i to a_(i-1), and D's factor 6 - i
+    fields = [(i, (5 - i) * _BITS,
+               (1 << (6 - i) * _BITS) - (1 << (5 - i) * _BITS), 6 - i)
+              for i in range(1, 6)]
     (terms,), _ = _cleared([poly._terms])
     image = {}
     for key, c in terms.items():
-        exps = poly._unpack(key)
-        if sum(i * e for i, e in enumerate(exps)) != weight:
+        w = 0
+        for i, sh, move, factor in fields:
+            e = (key >> sh) & _MASK
+            if e:
+                w += i * e
+                target = key + move
+                image[target] = image.get(target, 0) + factor * e * c
+        if w != weight:
             raise ValueError(
                 f"not in the J,K,L subring: a term is not of weight {weight}")
-        for i in range(5):
-            e = exps[i + 1]
-            if e:
-                target = key + (1 << shifts[i]) - (1 << shifts[i + 1])
-                image[target] = image.get(target, 0) + (5 - i) * e * c
     if any(image.values()):
         raise ValueError("not in the J,K,L subring: not killed by the"
                          " derivation D of SL2")
@@ -496,9 +510,16 @@ def _row_reduce(matrix, columns):
 
     Returns (rows, pivots): row r < len(pivots) has a 1 in column
     pivots[r] and every other row a 0 there; rows from len(pivots) on are
-    zero in the first ``columns`` columns.  len(pivots) is the rank.
+    zero in the first ``columns`` columns (their later entries are fixed
+    up to a factor).  len(pivots) is the rank.  The rows are cleared to
+    ints and kept divided by their gcds, and only the pivot rows are
+    divided by their pivots, at the end: scaling rows leaves the reduced
+    echelon form, which is unique, unchanged.
     """
-    rows = [[Fraction(x) for x in row] for row in matrix]
+    rows = []
+    for row in matrix:
+        m = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (m // x.denominator) for x in row])
     pivots = []
     for col in range(columns):
         r = len(pivots)
@@ -507,12 +528,16 @@ def _row_reduce(matrix, columns):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         head = rows[r][col]
-        rows[r] = [x / head for x in rows[r]]
         for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+            factor = rows[i][col]
+            if i != r and factor:
+                row = [head * x - factor * y for x, y in zip(rows[i], rows[r])]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
+    for r, col in enumerate(pivots):
+        head = rows[r][col]
+        rows[r] = [Fraction(x, head) for x in rows[r]]
     return rows, pivots
 
 

@@ -41,10 +41,13 @@ def _check_degree(degree: int) -> None:
 
 
 def _norm_coeff(c: Scalar) -> Scalar:
-    # store denominator-1 values as int so hot loops run native arithmetic
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
+    # store denominator-1 values as int so hot loops run native arithmetic;
+    # anything but an int or a Fraction raises TypeError, as in _as_fraction
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = _as_fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _clean(terms: dict) -> dict:
@@ -201,18 +204,27 @@ class MPoly:
             return -1
         return max((k >> sh) & _MASK for k in self._terms)
 
-    def coefficient(self, var: str, power: int) -> "MPoly":
-        """The coefficient of var**power, over the remaining variables."""
+    def coefficients(self, var: str) -> list:
+        """The coefficients of var**0 .. var**deg over the remaining
+        variables, from one pass over the terms."""
         sh = self._shift(var)
+        dsh = self._n * _BITS
         rest = tuple(v for v in self._vars if v != var)
         table = _remap_table(self._vars, rest)
-        out: dict = {}
+        split: dict = {}
         for k, c in self._terms.items():
-            if (k >> sh) & _MASK == power:
-                kk = _remap_key(k - (power << sh) - (power << (self._n * _BITS)),
-                                self._n, table)
-                out[kk] = c
-        return MPoly(rest, out, _clean_input=False)
+            e = (k >> sh) & _MASK
+            key = _remap_key(k - (e << sh) - (e << dsh), table)
+            split.setdefault(e, {})[key] = c
+        return [MPoly(rest, split.get(e, {}), _clean_input=False)
+                for e in range(max(split, default=-1) + 1)]
+
+    def coefficient(self, var: str, power: int) -> "MPoly":
+        """The coefficient of var**power, over the remaining variables."""
+        split = self.coefficients(var)
+        if 0 <= power < len(split):
+            return split[power]
+        return MPoly.zero(v for v in self._vars if v != var)
 
     def constant_value(self) -> Fraction:
         if not self._terms:
@@ -352,8 +364,6 @@ class MPoly:
         for b in bound.values():
             uni |= set(b._vars)
         target = tuple(sorted(uni))
-        # a term's image has its degree plus e * (deg b - 1) per bound variable
-        growth = {v: max(b.total_degree(), 0) - 1 for v, b in bound.items()}
         bound_aligned = {v: _remap_terms(b._terms, b._vars, target)
                          for v, b in bound.items()}
         # variable -> (key, coefficient) of a one-term binding, or None for
@@ -362,32 +372,43 @@ class MPoly:
                     for v, t in bound_aligned.items() if len(t) <= 1}
         polynomial = tuple(v for v in bound if v not in monomial)
         keep_table = _remap_table(self._vars, target)
-        shifts = {v: self._shift(v) for v in bound}
         dsh = self._n * _BITS
+
+        def field(v):
+            # v's shift, one unit of v in the key, and what a unit of v adds
+            # to a term's degree: deg b - 1
+            sh = self._shift(v)
+            grow = max(bound[v].total_degree(), 0) - 1
+            return sh, (1 << sh) + (1 << dsh), grow
+
+        grouped = [field(v) for v in polynomial]
+        # a monomial binding adds its key and scales by its coefficient per
+        # unit of v; a binding to 0 has no image
+        moved = [field(v) + (image or (0, None))
+                 for v, image in monomial.items()]
         (terms,), scale = _cleared([self._terms])
         # exponents in the polynomial-bound variables -> remapped terms
         groups: dict = {}
-        for k, c in terms.items():
-            base = k
-            degree = k >> dsh
-            exps = {}
-            for v, sh in shifts.items():
-                e = exps[v] = (k >> sh) & _MASK
-                base -= (e << sh) + (e << dsh)
-                degree += e * growth[v]
+        for base, c in terms.items():
+            degree = base >> dsh
+            exps = []
+            for sh, unit, grow in grouped:
+                e = (base >> sh) & _MASK
+                exps.append(e)
+                base -= e * unit
+                degree += e * grow
+            key = 0
+            for sh, unit, grow, mkey, mcoeff in moved:
+                e = (base >> sh) & _MASK
+                if e:
+                    base -= e * unit
+                    degree += e * grow
+                    key += e * mkey
+                    c = 0 if mcoeff is None else c * mcoeff ** e
             _check_degree(degree)
-            key = _remap_key(base, self._n, keep_table)
-            for v, image in monomial.items():
-                e = exps[v]
-                if not e:
-                    continue
-                if image is None:
-                    break
-                mkey, mcoeff = image
-                key += e * mkey
-                c = c * mcoeff ** e
-            else:
-                group = groups.setdefault(tuple(exps[v] for v in polynomial), {})
+            if c:
+                key += _remap_key(base, keep_table)
+                group = groups.setdefault(tuple(exps), {})
                 group[key] = group.get(key, 0) + c
         products = _monomials(groups, [bound_aligned[v] for v in polynomial],
                               {0: 1}, lambda f, g: _addmul({}, f, g))
@@ -429,18 +450,33 @@ def _as_exact(x):
 
 
 def _remap_table(old: tuple, new: tuple) -> tuple:
-    """Per-old-variable bit shifts in the new packing (degree field excluded)."""
-    n_new = len(new)
-    pos = {v: (n_new - 1 - i) * _BITS for i, v in enumerate(new)}
-    return tuple(pos[v] for v in old if v in pos), tuple(
-        i for i, v in enumerate(old) if v in pos), n_new
+    """The moves that re-pack a key of universe ``old`` into universe
+    ``new``: one (old shift, mask, new shift) per run of fields adjacent in
+    both packings.  Both universes are sorted, so the shared variables
+    keep their order, and the degree field moves with the first run."""
+    # field f of a universe of n variables sits at shift (n - f) * _BITS:
+    # the degree is field 0 and variable i is field i + 1
+    pos = {v: f for f, v in enumerate(new, 1)}
+    runs = [[0, 0, 1]]  # [first old field, first new field, length]
+    for f, v in enumerate(old, 1):
+        g = pos.get(v)
+        if g is None:
+            continue
+        f0, g0, n = runs[-1]
+        if (f0 + n, g0 + n) == (f, g):
+            runs[-1][2] += 1
+        else:
+            runs.append([f, g, 1])
+    n_old, n_new = len(old), len(new)
+    return tuple(((n_old - f - n + 1) * _BITS, (1 << (n * _BITS)) - 1,
+                  (n_new - g - n + 1) * _BITS) for f, g, n in runs)
 
-def _remap_key(key: int, n_old: int, table: tuple) -> int:
-    shifts, idxs, n_new = table
-    td = key >> (n_old * _BITS)
-    out = td << (n_new * _BITS)
-    for sh, i in zip(shifts, idxs):
-        out |= ((key >> ((n_old - 1 - i) * _BITS)) & _MASK) << sh
+
+def _remap_key(key: int, table: tuple) -> int:
+    """The key re-packed by the moves of a ``_remap_table``."""
+    out = 0
+    for old_shift, mask, new_shift in table:
+        out |= ((key >> old_shift) & mask) << new_shift
     return out
 
 
@@ -448,8 +484,7 @@ def _remap_terms(terms: dict, old: tuple, new: tuple) -> dict:
     if old == new:
         return terms
     table = _remap_table(old, new)
-    n_old = len(old)
-    return {_remap_key(k, n_old, table): c for k, c in terms.items()}
+    return {_remap_key(k, table): c for k, c in terms.items()}
 
 
 def _rehomogenize(poly: MPoly, var: str, total_degree: int) -> MPoly:
@@ -468,7 +503,7 @@ def _rehomogenize(poly: MPoly, var: str, total_degree: int) -> MPoly:
         gap = total_degree - (k >> dsh)
         if gap < 0:
             raise ValueError("term degree exceeds homogenization target")
-        out[_remap_key(k, poly._n, table) + gap * unit] = c
+        out[_remap_key(k, table) + gap * unit] = c
     return MPoly(target, out, _clean_input=False)
 
 
@@ -612,7 +647,7 @@ def det_fraction_free(rows: Sequence[Sequence]) -> MPoly:
         packed = {}
         for k, c in e.items():
             ev = (k >> sh) & _MASK
-            kk = _remap_key(k - (ev << sh) - (ev << dsh), nv, to_rest)
+            kk = _remap_key(k - (ev << sh) - (ev << dsh), to_rest)
             packed[kk] = packed.get(kk, 0) + (c << (width * ev))
         return packed
 
@@ -620,7 +655,7 @@ def det_fraction_free(rows: Sequence[Sequence]) -> MPoly:
     det = {}
     mask, half = (1 << width) - 1, 1 << (width - 1)
     for kk, packed in _expand_minors(grid, (nv - 1) * _BITS).items():
-        base = _remap_key(kk, nv - 1, from_rest)
+        base = _remap_key(kk, from_rest)
         degree = base >> dsh
         ev = 0
         # signed W-bit digits, least significant first; runs of zero

@@ -225,6 +225,13 @@ class TestNumericPipeline:
         vector, _ = beauville_pipeline(form)
         assert vector.b[0] == 0
 
+    def test_fivefold_root_keeps_z(self):
+        # (x1 + x2)^5: every entry vanishes, and the zero r_bar still has z
+        # in its universe
+        vector, trace = beauville_pipeline(BinaryForm([1, 5, 10, 10, 5, 1]))
+        assert vector.b == (Fraction(0),) * 6
+        assert not trace.r_bar and trace.r_bar.variables == ("z",)
+
     def test_zero_form_rejected(self):
         with pytest.raises(ValueError, match="zero form"):
             beauville_pipeline(BinaryForm([0, 0, 0, 0, 0, 0]))

@@ -17,12 +17,12 @@ import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from binform.beauville import beauville_pipeline, decompose_in_JKL
+from binform.beauville import _row_reduce, beauville_pipeline, decompose_in_JKL
 from binform.forms import (BinaryForm, discriminant, generic_form, resultant,
                            sylvester_matrix, transvectant)
 from binform.invariants import quintic_invariants
-from binform.mpoly import (MPoly, _addmul, det_fraction_free, format_poly,
-                           monic_divrem)
+from binform.mpoly import (_BITS, MPoly, _addmul, _remap_key, _remap_table,
+                           det_fraction_free, format_poly, monic_divrem)
 from conftest import run_cli
 
 settings.register_profile(
@@ -353,6 +353,95 @@ def test_diff_and_coefficient_match_sympy(f, name, power):
     assert sympy_poly(f.diff(name)) == sympy_poly(f).diff(symbol)
     expected = sympy.Poly(to_sympy(f), symbol).nth(power)
     assert sympy.expand(to_sympy(f.coefficient(name, power)) - expected) == 0
+
+
+@st.composite
+def remaps(draw):
+    """A key over a universe of 0-6 variables, with a degree field and
+    exponents up to 65535, and a new universe that is a superset, a subset
+    or a mix of the old one."""
+    pool = "abcdefgh"
+    old = sorted(draw(st.sets(st.sampled_from(pool), max_size=6)))
+    kind = draw(st.sampled_from(("superset", "subset", "mixed")))
+    kept = old if kind == "superset" else [
+        v for v in old if draw(st.booleans())]
+    added = set() if kind == "subset" else draw(st.sets(
+        st.sampled_from([v for v in pool if v not in old]),
+        max_size=6 - len(kept)))
+    new = sorted(set(kept) | added)
+    fields = draw(st.lists(st.integers(0, 65535), min_size=len(old) + 1,
+                           max_size=len(old) + 1))
+    key = 0
+    for e in fields:    # degree first, then old[0], old[1], ...
+        key = (key << _BITS) | e
+    return tuple(old), tuple(new), key
+
+
+@DIFFERENTIAL
+@given(remaps())
+def test_remap_key_moves_each_field(remap):
+    # the run-based remap against a field-by-field repacking
+    old, new, key = remap
+    mask = (1 << _BITS) - 1
+    exps = {v: (key >> ((len(old) - 1 - i) * _BITS)) & mask
+            for i, v in enumerate(old)}
+    expected = (key >> (len(old) * _BITS)) << (len(new) * _BITS)
+    for i, v in enumerate(new):
+        expected |= exps.get(v, 0) << ((len(new) - 1 - i) * _BITS)
+    assert _remap_key(key, _remap_table(old, new)) == expected
+
+
+@st.composite
+def linear_systems(draw):
+    """Rational matrices of 1-6 rows and columns, some with a zero column,
+    a repeated row or a row combined from two others, and a right-hand
+    side."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = [[draw(rationals) if draw(st.booleans()) else Fraction(0)
+             for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = Fraction(0)
+    if m > 1 and draw(st.booleans()):
+        i, k = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        rows[i] = list(rows[k])
+    if m > 2 and draw(st.booleans()):
+        i, k, l = (draw(st.integers(0, m - 1)) for _ in range(3))
+        a, b = draw(rationals), draw(rationals)
+        rows[i] = [a * x + b * y for x, y in zip(rows[k], rows[l])]
+    rhs = [draw(rationals) for _ in range(m)]
+    return rows, rhs
+
+
+def sympy_rref(rows):
+    reduced, pivots = sympy.Matrix(
+        [[to_sympy(x) for x in row] for row in rows]).rref()
+    return [[Fraction(int(x.p), int(x.q)) for x in row]
+            for row in reduced.tolist()], list(pivots)
+
+
+@DIFFERENTIAL
+@given(linear_systems())
+def test_row_reduce_matches_sympy_rref(system):
+    rows, rhs = system
+    n = len(rows[0])
+    expected, expected_pivots = sympy_rref(rows)
+    reduced, pivots = _row_reduce(rows, n)
+    assert pivots == expected_pivots
+    assert [[Fraction(x) for x in row] for row in reduced] == expected
+    # augmented: the pivot rows agree on the matrix, the zero rows show an
+    # inconsistent system, and a consistent one has sympy's solution column
+    augmented = [row + [b] for row, b in zip(rows, rhs)]
+    full, full_pivots = sympy_rref(augmented)
+    reduced, pivots = _row_reduce(augmented, n)
+    rank = len(pivots)
+    assert pivots == expected_pivots
+    assert [row[:n] for row in reduced[:rank]] == expected[:rank]
+    inconsistent = n in full_pivots
+    assert any(row[-1] for row in reduced[rank:]) == inconsistent
+    if not inconsistent:
+        assert reduced[:rank] == full[:rank]
 
 
 @DIFFERENTIAL

@@ -46,6 +46,9 @@ class TestConstruction:
             MPoly.from_terms(("x",), {(1,): value})
         with pytest.raises(TypeError, match="exact rational"):
             X / value
+        # the raw constructor too; 65537 is the key of x
+        with pytest.raises(TypeError, match="exact rational"):
+            MPoly(("x",), {65537: value})
 
     def test_variable(self):
         assert X.variables == ("x",)
@@ -141,18 +144,30 @@ class TestCalculusAndSubstitution:
 
     def test_coefficient_reconstruction(self):
         rng = random.Random(23)
-        for _ in range(10):
-            f = random_poly(rng)
+        # random polynomials, then gaps in the degrees of x, the zero
+        # polynomial and x of degree 0
+        inputs = [random_poly(rng) for _ in range(10)] + [
+            X ** 5 * Y - 3 * X ** 2 + Z, MPoly.zero(("x", "y")),
+            MPoly.from_terms(("x", "y", "z"), {(0, 1, 1): 1, (0, 0, 0): 2})]
+        for f in inputs:
             rebuilt = MPoly.zero()
             for k in range(f.degree("x") + 1):
                 rebuilt = rebuilt + f.coefficient("x", k) * X ** k
             assert rebuilt == f
+            split = f.coefficients("x")
+            assert len(split) == f.degree("x") + 1
+            assert all("x" not in c.variables for c in split)
+            assert sum((c * X ** k for k, c in enumerate(split)),
+                       MPoly.zero()) == f
 
     def test_coefficient_drops_the_variable(self):
         p = X ** 2 * Y + X ** 2
         c = p.coefficient("x", 2)
         assert "x" not in c.variables
         assert c == Y + 1
+        # above the degree: zero over the remaining universe
+        above = p.coefficient("x", 3)
+        assert not above and above.variables == ("y",)
 
 
 class TestTextFormat:
