@@ -14,6 +14,7 @@ decides scaled-GL2 equivalence and equality of five-point j-data.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from .forms import BinaryForm, GroupElement, act, resultant, weight_of
@@ -404,15 +405,47 @@ def beauville_closed_form(quintic: BinaryForm) -> BeauvilleVector:
 
     Exactly equal to the pipeline output — the test suite pins the two
     routes against each other — but costs microseconds instead of running
-    the symbolic resultant.
+    the symbolic resultant.  J, K, L go over one common denominator q,
+    found without factoring, so that j = J q, k = K q**2 and l = L q**3
+    are ints; the seven degree-24 monomials l**a k**b j**c are each
+    L**a K**b J**c times q**6, and every entry is one int dot product with
+    its table's int coefficients, divided once by the table's content
+    times q**6.
     """
     _require_order(quintic, 5, "beauville_closed_form")
     vector = quintic_invariants(quintic)
-    if any(isinstance(x, MPoly) for x in (vector.J, vector.K, vector.L)):
+    J, K, L = vector.J, vector.K, vector.L
+    if any(isinstance(x, MPoly) for x in (J, K, L)):
         raise TypeError("closed-form route needs a numeric quintic")
+    q = J.denominator
+    q *= K.denominator // gcd(K.denominator, q * q)
+    q *= L.denominator // gcd(L.denominator, q ** 3)
+    q2 = q * q
+    q3 = q2 * q
+    monomials = _monomials(_BASIS_24, (L.numerator * (q3 // L.denominator),
+                                       K.numerator * (q2 // K.denominator),
+                                       J.numerator * (q // J.denominator)))
+    q6 = q3 * q3
     return BeauvilleVector(
-        [table.evaluate(vector.J, vector.K, vector.L)
-         for table in KEYPROP_TABLES])
+        [Fraction(content.numerator * sum(c * monomials[i] for i, c in table),
+                  content.denominator * q6)
+         for content, table in _INT_TABLES])
+
+
+def _int_table(table: JKLPolynomial) -> tuple:
+    """A degree-24 table as its rational content and the int coefficients
+    of table / content, as (index in the basis, coefficient) pairs for the
+    nonzero ones."""
+    values = table.terms.values()
+    content = Fraction(gcd(*(c.numerator for c in values)),
+                       lcm(*(c.denominator for c in values)))
+    return content, tuple((i, int(table.terms[t] / content))
+                          for i, t in enumerate(_BASIS_24) if t in table.terms)
+
+
+_BASIS_24 = tuple(monomial_basis(24))
+# KEYPROP_TABLES in the form beauville_closed_form evaluates
+_INT_TABLES = tuple(_int_table(table) for table in KEYPROP_TABLES)
 
 
 # ---------------------------------------------------------------------------
@@ -443,17 +476,10 @@ def decompose_in_JKL(invariant_poly: MPoly, degree: int) -> JKLPolynomial:
         raise ValueError(f"input is not homogeneous of degree {degree}")
     _require_invariant(invariant_poly, degree)
 
-    point = SylvesterPoint.symbolic()
-    specialized = invariant_poly.substitute(
-        dict(zip(_COEFF_NAMES, sylvester_specialize(point).coeffs)))
-
-    basis = monomial_basis(degree)
-    closed = sylvester_invariants(point)
-    uvw = ("u", "v", "w")
+    bindings, basis, columns = _canonical_family(degree)
+    specialized = invariant_poly.substitute(bindings)
     # the basis columns as term dicts over u, v, w; the target is the last
-    bases = [p.in_universe(uvw)._terms for p in (closed.L, closed.K, closed.J)]
-    columns = _monomials(basis, bases, {0: 1}, lambda f, g: _addmul({}, f, g))
-    maps = columns + [specialized.in_universe(uvw)._terms]
+    maps = [*columns, specialized.in_universe(_UVW)._terms]
     # one equation per monomial in u, v, w
     keys = sorted(set().union(*maps))
     rows, pivots = _row_reduce(
@@ -463,6 +489,25 @@ def decompose_in_JKL(invariant_poly: MPoly, degree: int) -> JKLPolynomial:
     return JKLPolynomial(
         {basis[col]: row[-1] for col, row in zip(pivots, rows)},
         degree=degree)
+
+
+_UVW = ("u", "v", "w")
+
+
+@lru_cache(maxsize=4)
+def _canonical_family(degree: int) -> tuple:
+    """The bindings of a0..a5 to the canonical family's coefficients in
+    u, v, w, the degree's monomial basis, and its columns: the basis
+    monomials in the family's J, K, L as term dicts over u, v, w.  Built
+    once per degree and shared between calls, so no caller mutates them."""
+    point = SylvesterPoint.symbolic()
+    bindings = dict(zip(_COEFF_NAMES, sylvester_specialize(point).coeffs))
+    basis = tuple(monomial_basis(degree))
+    closed = sylvester_invariants(point)
+    bases = [p.in_universe(_UVW)._terms
+             for p in (closed.L, closed.K, closed.J)]
+    columns = _monomials(basis, bases, {0: 1}, lambda f, g: _addmul({}, f, g))
+    return bindings, basis, tuple(columns)
 
 
 def _require_invariant(poly: MPoly, degree: int) -> None:

@@ -89,6 +89,13 @@ def _unscaled(terms: dict, m: int) -> dict:
     return terms if m == 1 else {k: Fraction(c, m) for k, c in terms.items()}
 
 
+def _quotient(c: int, m: int) -> Scalar:
+    """The nonzero int c over the positive int m, stored as MPoly stores
+    it: an int when m divides c, else a Fraction."""
+    q, r = divmod(c, m)
+    return Fraction(c, m) if r else q
+
+
 def _monomials(exponents, bases, one=1, mul=operator.mul) -> list:
     """The product of the powers bases[s] ** e[s] for each exponent tuple
     e, computing every power of every base once: the library's one power
@@ -586,7 +593,8 @@ def det_fraction_free(rows: Sequence[Sequence]) -> MPoly:
     row set (Gentleman & Johnson, ACM TOMS 2(3), 1976).  It never divides
     polynomials: each row is first scaled by the lcm of its coefficient
     denominators, so the expansion runs on ints, and only the final result
-    is divided by the product of the scales.  The cost is O(n * 2^n)
+    is divided by the product of the scales, each coefficient once, as it
+    is written.  The cost is O(n * 2^n)
     entry-times-minor products, which suits the matrices its callers build
     (``resultant``'s Bezout matrices are max(p, q)-square: 4x4 for the
     discriminant of a quintic, 5x5 for the quintic pipeline) but grows fast
@@ -628,7 +636,9 @@ def det_fraction_free(rows: Sequence[Sequence]) -> MPoly:
         grid.append(row)
     if nv < 2:
         det = _expand_minors(grid, nv * _BITS)
-        return MPoly(vs, _unscaled(det, scale))
+        if scale != 1:
+            det = {k: _quotient(c, scale) for k, c in det.items()}
+        return MPoly(vs, det, _clean_input=False)
     columns = list(zip(*grid))
     shifts = [(nv - 1 - s) * _BITS for s in range(nv)]
     bounds = [sum(max(((k >> sh) & _MASK for e in col for k in e), default=0)
@@ -667,10 +677,10 @@ def det_fraction_free(rows: Sequence[Sequence]) -> MPoly:
             ev += skip
             c = ((packed & mask) ^ half) - half
             _check_degree(degree + ev)
-            det[base + (ev << sh) + (ev << dsh)] = c
+            det[base + (ev << sh) + (ev << dsh)] = _quotient(c, scale)
             packed = (packed - c) >> width
             ev += 1
-    return MPoly(vs, _unscaled(det, scale))
+    return MPoly(vs, det, _clean_input=False)
 
 
 def _expand_minors(grid: list, dsh: int) -> dict:

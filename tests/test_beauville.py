@@ -239,6 +239,11 @@ class TestNumericPipeline:
     def test_closed_form_rejects_symbolic(self):
         with pytest.raises(TypeError, match="numeric"):
             beauville_closed_form(generic_form(5))
+        with pytest.raises(TypeError,
+                           match="^closed-form route needs a numeric"
+                                 " quintic$"):
+            beauville_closed_form(
+                BinaryForm([MPoly.variable("t"), 0, 0, 0, 0, 1]))
 
 
 class TestSymbolicPipeline:
@@ -616,6 +621,15 @@ class TestBeauvilleVector:
     def test_json_list(self):
         vector = BeauvilleVector([Fraction(1, 3), 0, 0, 0, 0, 1])
         assert vector.to_json_list() == ["1/3", "0", "0", "0", "0", "1"]
+
+    def test_equal_vectors_hash_equal(self):
+        a0 = MPoly.variable("a0")
+        first = BeauvilleVector([a0, Fraction(2, 4), 0, 0, 0, 1])
+        second = BeauvilleVector([a0.in_universe(("a0", "a1")),
+                                  Fraction(1, 2), Fraction(0),
+                                  MPoly.zero(("a1",)), 0, MPoly.constant(1)])
+        assert first == second
+        assert hash(first) == hash(second)
 
     def test_wrong_arity(self):
         with pytest.raises(ValueError, match="six"):

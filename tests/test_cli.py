@@ -357,6 +357,16 @@ class TestDeterminismAndEnvironment:
         code, _, err = run_cli([])
         assert code == 2
 
+    def test_internal_failure_exits_2_without_a_traceback(self, monkeypatch):
+        def fail(form):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("binform.cli.quintic_invariants", fail)
+        code, out, err = run_cli(["invariants", FIFTH_POWERS])
+        assert code == 2
+        assert out == ""
+        assert err == "error: internal failure: boom\n"
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "binform.cli", "verify", "dims"],

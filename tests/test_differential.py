@@ -17,7 +17,9 @@ import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from binform.beauville import _row_reduce, beauville_pipeline, decompose_in_JKL
+from binform.beauville import (KEYPROP_TABLES, _row_reduce,
+                               beauville_closed_form, beauville_pipeline,
+                               decompose_in_JKL)
 from binform.forms import (BinaryForm, discriminant, generic_form, resultant,
                            sylvester_matrix, transvectant)
 from binform.invariants import quintic_invariants
@@ -480,6 +482,55 @@ def test_numeric_invariants_equal_the_generic_ones(coeffs):
         value = getattr(got, name)
         assert isinstance(value, Fraction)
         assert value == getattr(GENERIC, name).evaluate(values)
+
+
+def fraction_route(form):
+    """The six closed forms evaluated on Fraction J, K, L."""
+    iv = quintic_invariants(form)
+    return tuple(table.evaluate(iv.J, iv.K, iv.L) for table in KEYPROP_TABLES)
+
+
+heights = {
+    "small": st.integers(-8, 8),
+    "int20": st.integers(-2 ** 20, 2 ** 20),
+    "rat64": st.builds(Fraction, st.integers(-2 ** 64, 2 ** 64),
+                       st.integers(1, 2 ** 16)),
+}
+
+
+@st.composite
+def quintics_of_each_height(draw):
+    """Nonzero quintics at one of three coefficient heights, a fifth of
+    them with a0 = 0."""
+    coefficient = heights[draw(st.sampled_from(sorted(heights)))]
+    coeffs = [draw(coefficient) for _ in range(6)]
+    if draw(st.integers(0, 4)) == 0:
+        coeffs[0] = 0
+    if not any(coeffs):
+        coeffs[5] = 1
+    return BinaryForm(coeffs)
+
+
+@DIFFERENTIAL
+@given(quintics_of_each_height())
+def test_closed_form_equals_the_fraction_route(form):
+    # the integer tables over one denominator against the Fraction route
+    assert beauville_closed_form(form).b == fraction_route(form)
+
+
+@pytest.mark.parametrize("form", [
+    # the canonical family at w = 1/4 has J = 0, at w = -1/2 K = 0
+    BinaryForm([Fraction(3, 4), Fraction(-5, 4), Fraction(-5, 2),
+                Fraction(-5, 2), Fraction(-5, 4), Fraction(3, 4)]),
+    BinaryForm([Fraction(3, 2), Fraction(5, 2), 5, 5, Fraction(5, 2),
+                Fraction(3, 2)]),
+    BinaryForm([1, 0, 0, 0, 0, 1]),      # K = L = 0
+    BinaryForm([1, 0, 0, 0, 0, 0]),      # a fivefold root: all of b vanish
+    BinaryForm([Fraction(7 * 10 ** 299 + i, 3 * 10 ** 299 - i * i)
+                for i in range(1, 7)]),
+], ids=["J-zero", "K-zero", "fifth-powers", "fivefold-root", "300-digits"])
+def test_closed_form_equals_the_fraction_route_on_special_forms(form):
+    assert beauville_closed_form(form).b == fraction_route(form)
 
 
 @lru_cache

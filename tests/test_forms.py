@@ -143,6 +143,25 @@ class TestBinaryForm:
         assert [c.variables for c in f.coeffs] \
             == [("c0",), ("c1",), ("c2",), ("c3",)]
 
+    def test_generic_form_of_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="^order must be nonnegative$"):
+            generic_form(-1)
+
+    def test_sum_and_difference_need_one_order(self):
+        f, g = BinaryForm([1, 2, 3]), BinaryForm([1, 2])
+        with pytest.raises(ValueError,
+                           match="^cannot add forms of different orders$"):
+            f + g
+        with pytest.raises(
+                ValueError,
+                match="^cannot subtract forms of different orders$"):
+            f - g
+
+    def test_partials_of_a_constant_are_zero(self):
+        for partial in (BinaryForm([7]).diff_x1(), BinaryForm([7]).diff_x2()):
+            assert partial.order == 0
+            assert partial.is_zero()
+
 
 class TestAction:
     def test_matches_substitution(self):
@@ -303,6 +322,15 @@ class TestResultant:
         assert m[3][0] == 4
         with pytest.raises(ValueError, match="positive order"):
             sylvester_matrix(BinaryForm([3]), g)
+
+    @pytest.mark.parametrize("f, g", [(BinaryForm([3]), BinaryForm([1, 2])),
+                                      (BinaryForm([1, 2]), BinaryForm([3]))],
+                             ids=["first-constant", "second-constant"])
+    def test_constant_form_rejected(self, f, g):
+        with pytest.raises(
+                ValueError,
+                match="^resultant needs two forms of positive order$"):
+            resultant(f, g)
 
     def test_linear_case(self):
         xi, eta = Fraction(3), Fraction(-2)

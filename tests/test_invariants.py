@@ -77,6 +77,14 @@ class TestQuarticInvariants:
         inv = QuarticInvariants(Fraction(2), Fraction(1))
         assert inv.discriminant == 256 * (8 - 27)
 
+    def test_equal_pairs_hash_equal(self):
+        q = MPoly.variable("q")
+        first = QuarticInvariants(Fraction(6, 4), q * q)
+        second = QuarticInvariants(Fraction(3, 2),
+                                   (q * q).in_universe(("p", "q")))
+        assert first == second
+        assert hash(first) == hash(second)
+
     def test_degrees_and_weights_by_scaling(self):
         # S and T have degrees 2, 3 and weights 4, 6: c*Q scales them by
         # c**2, c**3, and g = diag(1, 1/2) of det 1/2 by det(g)**-4, **-6
@@ -237,6 +245,14 @@ class TestQuinticInvariants:
         for name, d in InvariantVector.DEGREES.items():
             assert getattr(before, name)
             assert getattr(after, name) == 2 ** d * getattr(before, name)
+
+    def test_equal_vectors_hash_equal(self):
+        x = MPoly.variable("x")
+        first = InvariantVector(Fraction(2, 4), 3, x, 0)
+        second = InvariantVector(Fraction(1, 2), MPoly.constant(3),
+                                 x.in_universe(("x", "y")), Fraction(0))
+        assert first == second
+        assert hash(first) == hash(second)
 
     def test_json_round_trip(self):
         vector = quintic_invariants(BinaryForm([1, 1, 0, 0, -1, 2]))

@@ -70,6 +70,34 @@ class TestConstruction:
         for _, c in p.terms():
             assert isinstance(c, int)
 
+    @pytest.mark.parametrize("universe", [("y", "x"), ("x", "x")],
+                             ids=["unsorted", "duplicated"])
+    def test_universe_must_be_sorted_and_duplicate_free(self, universe):
+        with pytest.raises(ValueError, match="^variable universe must be"
+                           " sorted and duplicate-free$"):
+            MPoly(universe, {})
+
+    def test_variable_name_must_be_an_identifier(self):
+        with pytest.raises(ValueError, match=r"^bad variable name: '1x'$"):
+            MPoly.variable("1x")
+
+    def test_from_terms_rejects_bad_exponent_vectors(self):
+        with pytest.raises(ValueError,
+                           match="^exponent vector length mismatch$"):
+            MPoly.from_terms(("x", "y"), {(1,): 1})
+        with pytest.raises(ValueError, match="^negative exponent$"):
+            MPoly.from_terms(("x", "y"), {(1, -1): 1})
+
+    def test_in_universe_needs_every_variable(self):
+        with pytest.raises(ValueError,
+                           match="^universe does not contain all variables$"):
+            (X * Y).in_universe(("x", "z"))
+
+    def test_no_division_by_a_polynomial(self):
+        with pytest.raises(TypeError,
+                           match="^use monic_divrem for polynomial division$"):
+            X / Y
+
 
 class TestRingAxioms:
     def test_random_identities(self):
@@ -123,6 +151,11 @@ class TestCalculusAndSubstitution:
     def test_diff_unknown_variable_rejected(self):
         with pytest.raises(ValueError, match="unknown variable"):
             (X ** 2).diff("t")
+
+    def test_evaluate_needs_every_value(self):
+        with pytest.raises(ValueError,
+                           match=r"^missing values for \['y'\]$"):
+            (X + Y).evaluate({"x": 1})
 
     def test_substitute_commutes_with_evaluate(self):
         rng = random.Random(19)
@@ -278,6 +311,17 @@ class TestMonicDivision:
         with pytest.raises(ZeroDivisionError):
             monic_divrem(X, MPoly.zero(("x",)), "x")
 
+    @pytest.mark.parametrize("f, g", [(X ** 2, 1), (2, X + 1)],
+                             ids=["number-divisor", "number-dividend"])
+    def test_rejects_a_non_polynomial_operand(self, f, g):
+        with pytest.raises(TypeError,
+                           match="^monic_divrem expects MPoly operands$"):
+            monic_divrem(f, g, "x")
+
+    def test_rejects_an_unknown_variable(self):
+        with pytest.raises(ValueError, match="^unknown variable: 't'$"):
+            monic_divrem(X ** 2, X + Y, "t")
+
 
 def vandermonde(symbols):
     n = len(symbols)
@@ -328,6 +372,20 @@ class TestDeterminant:
                   [Fraction(1, 5), Fraction(1, 7)]]
         assert det_fraction_free(matrix).constant_value() == \
             Fraction(1, 14) - Fraction(1, 15)
+
+    @pytest.mark.parametrize("y", [1, Y], ids=["terms", "packed"])
+    def test_coefficients_are_stored_normalised(self, y):
+        # over one variable the terms are kept, over two one is packed; in
+        # both, a coefficient the rows' scale divides is stored as an int
+        det = det_fraction_free([[X * Fraction(1, 2), y],
+                                 [y * Fraction(1, 3), X]])
+        assert det == X * X * Fraction(1, 2) - y * y * Fraction(1, 3)
+        assert sorted(type(c).__name__ for _, c in det.terms()) \
+            == ["Fraction", "Fraction"]
+        det = det_fraction_free([[X * Fraction(1, 2), y * Fraction(1, 2)],
+                                 [y * 2, X * 4]])
+        assert det == 2 * X * X - y * y
+        assert all(type(c) is int for _, c in det.terms())
 
     def test_empty_and_shape_errors(self):
         assert det_fraction_free([]).constant_value() == 1
