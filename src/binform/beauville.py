@@ -30,7 +30,7 @@ from .invariants import (
     SylvesterPoint,
 )
 from .mpoly import (_BITS, _MASK, MPoly, _addmul, _as_exact, _as_fraction,
-                    _cleared, _monomials, _rehomogenize, monic_divrem)
+                    _int_exponent, _monomials, _rehomogenize, monic_divrem)
 
 __all__ = [
     "JKLPolynomial",
@@ -66,10 +66,7 @@ def _int_triple(triple) -> tuple:
     """An exponent triple as three ints; any other exponent, a float
     included, raises TypeError instead of being truncated."""
     a1, a2, a3 = triple
-    for e in (a1, a2, a3):
-        if isinstance(e, bool) or not isinstance(e, int):
-            raise TypeError(f"exponent {e!r} is not an int")
-    return a1, a2, a3
+    return _int_exponent(a1), _int_exponent(a2), _int_exponent(a3)
 
 
 class JKLPolynomial:
@@ -487,7 +484,8 @@ def decompose_in_JKL(invariant_poly: MPoly, degree: int) -> JKLPolynomial:
     if any(row[-1] for row in rows[len(pivots):]):
         raise ValueError("not in the J,K,L subring")
     return JKLPolynomial(
-        {basis[col]: row[-1] for col, row in zip(pivots, rows)},
+        {basis[col]: row[-1] / specialized._den
+         for col, row in zip(pivots, rows)},
         degree=degree)
 
 
@@ -499,7 +497,9 @@ def _canonical_family(degree: int) -> tuple:
     """The bindings of a0..a5 to the canonical family's coefficients in
     u, v, w, the degree's monomial basis, and its columns: the basis
     monomials in the family's J, K, L as term dicts over u, v, w.  Built
-    once per degree and shared between calls, so no caller mutates them."""
+    once per degree and shared between calls, so no caller mutates them.
+    The family's J, K, L have int coefficients (denominator 1), so their
+    stored terms are their values."""
     point = SylvesterPoint.symbolic()
     bindings = dict(zip(_COEFF_NAMES, sylvester_specialize(point).coeffs))
     basis = tuple(monomial_basis(degree))
@@ -530,9 +530,8 @@ def _require_invariant(poly: MPoly, degree: int) -> None:
     fields = [(i, (5 - i) * _BITS,
                (1 << (6 - i) * _BITS) - (1 << (5 - i) * _BITS), 6 - i)
               for i in range(1, 6)]
-    (terms,), _ = _cleared([poly._terms])
     image = {}
-    for key, c in terms.items():
+    for key, c in poly._terms.items():
         w = 0
         for i, sh, move, factor in fields:
             e = (key >> sh) & _MASK

@@ -222,7 +222,7 @@ def _transvectant_sum(a: Sequence, b: Sequence, k: int) -> tuple:
 
 def _over(c, den: int):
     """c / den exactly; ``/`` between two ints would give a float."""
-    return c * Fraction(1, den) if isinstance(c, MPoly) else Fraction(c, den)
+    return c / den if isinstance(c, MPoly) else Fraction(c, den)
 
 
 @lru_cache

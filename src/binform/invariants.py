@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, NamedTuple
 
 from .forms import (BinaryForm, _over, _transvectant_sum, discriminant,
                     transvectant)
-from .mpoly import MPoly, _as_exact, _cleared
+from .mpoly import MPoly, _as_exact
 
 __all__ = [
     "QuarticInvariants",
@@ -185,8 +186,8 @@ def _scaled_covariants(quintic: BinaryForm) -> list:
     """
     f, m = quintic.coeffs, 1
     if not any(isinstance(c, MPoly) for c in f):
-        (cleared,), m = _cleared([dict(enumerate(f))])
-        f = list(cleared.values())
+        m = lcm(*(c.denominator for c in f))
+        f = [c.numerator * (m // c.denominator) for c in f]
     first = _scaled_transvectant((f, m), (f, m), 4)
     second = _scaled_transvectant((f, m), first, 2)
     third = _scaled_transvectant(second, second, 2)

@@ -8,10 +8,12 @@ order: leading-term extraction is ``max`` over the key set, and printing
 in canonical order is a single sort.  Each exponent field is 16 bits wide,
 so a total degree above 65535 raises OverflowError.
 
-Coefficients are exact rationals.  Integer-valued coefficients are kept
-as plain ``int`` (a rational with denominator one); everything else is a
-``fractions.Fraction``.  Both normalise on every operation, so equality
-of dicts is equality of polynomials.
+Coefficients are exact rationals, stored as FLINT's ``fmpq_poly`` stores
+them: nonzero ints over one positive int denominator coprime to their
+content.  ``MPoly._make`` builds every result in that canonical form, so
+equal polynomials have equal terms and denominators, and every product
+runs on the stored ints.  ``terms()`` gives each coefficient back as an
+``int`` where the denominator divides it and a ``Fraction`` otherwise.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence, Union
 
 __all__ = [
@@ -40,23 +42,12 @@ def _check_degree(degree: int) -> None:
             f"total degree {degree} exceeds the supported maximum {_MASK}")
 
 
-def _norm_coeff(c: Scalar) -> Scalar:
-    # store denominator-1 values as int so hot loops run native arithmetic;
-    # anything but an int or a Fraction raises TypeError, as in _as_fraction
-    if type(c) is int:
-        return c
-    if type(c) is not Fraction:
-        c = _as_fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
-def _clean(terms: dict) -> dict:
-    out = {}
-    for k, c in terms.items():
-        c = _norm_coeff(c)
-        if c:
-            out[k] = c
-    return out
+def _int_exponent(e) -> int:
+    """An exponent as an int; any other exponent, a bool or a float
+    included, raises TypeError: exponents follow the rule for numbers."""
+    if isinstance(e, bool) or not isinstance(e, int):
+        raise TypeError(f"exponent {e!r} is not an int")
+    return e
 
 
 def _addmul(acc: dict, f: dict, g: dict, sign: int = 1) -> dict:
@@ -76,24 +67,9 @@ def _addmul(acc: dict, f: dict, g: dict, sign: int = 1) -> dict:
     return acc
 
 
-def _cleared(term_dicts: Sequence[dict]) -> tuple:
-    """The term dicts scaled by the lcm m of all their coefficient
-    denominators, as dicts of ints, and m."""
-    m = lcm(*(c.denominator for t in term_dicts for c in t.values()))
-    return [{k: c.numerator * (m // c.denominator) for k, c in t.items()}
-            for t in term_dicts], m
-
-
-def _unscaled(terms: dict, m: int) -> dict:
-    """The term dict divided by the int m."""
-    return terms if m == 1 else {k: Fraction(c, m) for k, c in terms.items()}
-
-
-def _quotient(c: int, m: int) -> Scalar:
-    """The nonzero int c over the positive int m, stored as MPoly stores
-    it: an int when m divides c, else a Fraction."""
-    q, r = divmod(c, m)
-    return Fraction(c, m) if r else q
+def _scaled(terms: dict, s: int) -> dict:
+    """A new dict of the int terms times the int s."""
+    return dict(terms) if s == 1 else {k: c * s for k, c in terms.items()}
 
 
 def _monomials(exponents, bases, one=1, mul=operator.mul) -> list:
@@ -126,15 +102,36 @@ def _as_fraction(x) -> Fraction:
 class MPoly:
     """A sparse multivariate polynomial over the rationals."""
 
-    __slots__ = ("_vars", "_terms", "_n")
+    __slots__ = ("_vars", "_terms", "_den", "_n")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping, _clean_input: bool = True):
+    def __init__(self, variables: Sequence[str], terms: Mapping):
         vs = tuple(variables)
         if list(vs) != sorted(vs) or len(set(vs)) != len(vs):
             raise ValueError("variable universe must be sorted and duplicate-free")
+        values = [_as_fraction(c) for c in terms.values()]
+        den = lcm(*(c.denominator for c in values))
+        self._set(vs, {k: c.numerator * (den // c.denominator)
+                       for k, c in zip(terms, values)}, den)
+
+    def _set(self, vs: tuple, terms: dict, den: int) -> "MPoly":
+        # the canonical form: zero terms pruned, gcd(den, content) divided out
+        if not all(terms.values()):
+            terms = {k: c for k, c in terms.items() if c}
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {k: c // g for k, c in terms.items()}
         self._vars = vs
         self._n = len(vs)
-        self._terms = _clean(terms) if _clean_input else dict(terms)
+        self._terms = terms
+        self._den = den
+        return self
+
+    @classmethod
+    def _make(cls, vs: tuple, terms: dict, den: int = 1) -> "MPoly":
+        """The int terms over the positive int den in the sorted universe
+        vs, canonical; the dict is taken, not copied."""
+        return object.__new__(cls)._set(vs, terms, den)
 
     # -- constructors ------------------------------------------------------
 
@@ -144,14 +141,13 @@ class MPoly:
 
     @classmethod
     def constant(cls, value: Scalar, variables: Sequence[str] = ()) -> "MPoly":
-        c = _norm_coeff(_as_fraction(value))
-        return cls(sorted(variables), {0: c} if c else {})
+        return cls(sorted(variables), {0: value})
 
     @classmethod
     def variable(cls, name: str) -> "MPoly":
         if not re.fullmatch(r"[A-Za-z_]\w*", name):
             raise ValueError(f"bad variable name: {name!r}")
-        return cls((name,), {(1 << _BITS) | 1: 1})
+        return cls._make((name,), {(1 << _BITS) | 1: 1})
 
     @classmethod
     def from_terms(cls, variables: Sequence[str],
@@ -162,7 +158,7 @@ class MPoly:
         for exps, c in terms.items():
             if len(exps) != n:
                 raise ValueError("exponent vector length mismatch")
-            if any(e < 0 for e in exps):
+            if any(_int_exponent(e) < 0 for e in exps):
                 raise ValueError("negative exponent")
             _check_degree(sum(exps))
             key = sum(exps) << (n * _BITS)
@@ -197,7 +193,9 @@ class MPoly:
     def terms(self) -> Iterator[tuple]:
         """Yield (exponent_vector, coefficient) in descending graded-lex order."""
         for key in sorted(self._terms, reverse=True):
-            yield self._unpack(key), self._terms[key]
+            c = self._terms[key]
+            q, r = divmod(c, self._den)
+            yield self._unpack(key), Fraction(c, self._den) if r else q
 
     def total_degree(self) -> int:
         if not self._terms:
@@ -223,7 +221,7 @@ class MPoly:
             e = (k >> sh) & _MASK
             key = _remap_key(k - (e << sh) - (e << dsh), table)
             split.setdefault(e, {})[key] = c
-        return [MPoly(rest, split.get(e, {}), _clean_input=False)
+        return [MPoly._make(rest, split.get(e, {}), self._den)
                 for e in range(max(split, default=-1) + 1)]
 
     def coefficient(self, var: str, power: int) -> "MPoly":
@@ -237,7 +235,7 @@ class MPoly:
         if not self._terms:
             return Fraction(0)
         if len(self._terms) == 1 and 0 in self._terms:
-            return Fraction(self._terms[0])
+            return Fraction(self._terms[0], self._den)
         raise ValueError("polynomial is not constant")
 
     # -- ring operations ---------------------------------------------------
@@ -257,18 +255,22 @@ class MPoly:
             return self
         if not set(self._vars) <= set(vs):
             raise ValueError("universe does not contain all variables")
-        return MPoly(vs, _remap_terms(self._terms, self._vars, vs), _clean_input=False)
+        return MPoly._make(vs, _remap_terms(self._terms, self._vars, vs),
+                           self._den)
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         vs, f, g = self._aligned(other)
-        out = dict(f)
+        # both operands over the lcm of their denominators
+        den = lcm(self._den, other._den)
+        out = _scaled(f, den // self._den)
         get = out.get
+        s = den // other._den
         for k, c in g.items():
-            out[k] = get(k, 0) + c
-        return MPoly(vs, out)
+            out[k] = get(k, 0) + c * s
+        return MPoly._make(vs, out, den)
 
     __radd__ = __add__
 
@@ -285,8 +287,8 @@ class MPoly:
         return other.__sub__(self)
 
     def __neg__(self):
-        return MPoly(self._vars, {k: -c for k, c in self._terms.items()},
-                     _clean_input=False)
+        return MPoly._make(self._vars, {k: -c for k, c in self._terms.items()},
+                           self._den)
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -296,9 +298,7 @@ class MPoly:
         if f and g:
             dsh = len(vs) * _BITS
             _check_degree((max(f) >> dsh) + (max(g) >> dsh))
-        # the product runs on ints: both operands scaled by one m
-        (f, g), m = _cleared([f, g])
-        return MPoly(vs, _unscaled(_addmul({}, f, g), m * m))
+        return MPoly._make(vs, _addmul({}, f, g), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -308,32 +308,34 @@ class MPoly:
         c = _as_fraction(scalar)
         if not c:
             raise ZeroDivisionError("division by zero")
-        inv = 1 / c
-        return MPoly(self._vars, {k: v * inv for k, v in self._terms.items()})
+        # times q / p, the sign of p moved into the terms
+        q = c.denominator if c > 0 else -c.denominator
+        return MPoly._make(self._vars, _scaled(self._terms, q),
+                           self._den * abs(c.numerator))
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
+        if _int_exponent(exponent) < 0:
             raise ValueError("exponent must be a nonnegative integer")
         if self._terms:
             _check_degree(self.total_degree() * exponent)
-        # the base is cleared to ints once, and the power divided once
-        (base,), m = _cleared([self._terms])
+        base = self._terms
         result = {0: 1}
         e = exponent
         while e:
             if e & 1:
-                result = _clean(_addmul({}, result, base))
+                result = {k: c for k, c in _addmul({}, result, base).items()
+                          if c}
             e >>= 1
             if e:
-                base = _clean(_addmul({}, base, base))
-        return MPoly(self._vars, _unscaled(result, m ** exponent))
+                base = {k: c for k, c in _addmul({}, base, base).items() if c}
+        return MPoly._make(self._vars, result, self._den ** exponent)
 
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         _, f, g = self._aligned(other)
-        return f == g
+        return self._den == other._den and f == g
 
     # -- calculus and substitution ----------------------------------------
 
@@ -346,7 +348,7 @@ class MPoly:
             e = (k >> sh) & _MASK
             if e:
                 out[k - (1 << sh) - (1 << dsh)] = c * e
-        return MPoly(self._vars, out)
+        return MPoly._make(self._vars, out, self._den)
 
     def substitute(self, bindings: Mapping[str, object]) -> "MPoly":
         """Simultaneous substitution of polynomials (or scalars) for variables.
@@ -357,8 +359,9 @@ class MPoly:
         without multiplying polynomials.  The terms are then grouped by
         their exponents in the variables bound to polynomials of two or
         more terms, and each group is multiplied once by its product of
-        binding powers.  The terms are scaled to ints first and the result
-        divided back once.
+        binding powers.  Everything runs on the stored ints: a binding over
+        d != 1, for a variable of degree D, scales a term of exponent e by
+        d**(D - e), and the result's denominator by d**D.
         """
         bound = {}
         for v, b in bindings.items():
@@ -380,33 +383,41 @@ class MPoly:
         polynomial = tuple(v for v in bound if v not in monomial)
         keep_table = _remap_table(self._vars, target)
         dsh = self._n * _BITS
+        den = self._den
 
         def field(v):
-            # v's shift, one unit of v in the key, and what a unit of v adds
-            # to a term's degree: deg b - 1
+            # v's shift, one unit of v in the key, what a unit of v adds to
+            # a term's degree (deg b - 1), and b's denominator and v's degree
+            nonlocal den
             sh = self._shift(v)
-            grow = max(bound[v].total_degree(), 0) - 1
-            return sh, (1 << sh) + (1 << dsh), grow
+            d = bound[v]._den
+            top = self.degree(v) if d != 1 else 0
+            den *= d ** top
+            return (sh, (1 << sh) + (1 << dsh),
+                    max(bound[v].total_degree(), 0) - 1, d, top)
 
         grouped = [field(v) for v in polynomial]
         # a monomial binding adds its key and scales by its coefficient per
         # unit of v; a binding to 0 has no image
         moved = [field(v) + (image or (0, None))
                  for v, image in monomial.items()]
-        (terms,), scale = _cleared([self._terms])
         # exponents in the polynomial-bound variables -> remapped terms
         groups: dict = {}
-        for base, c in terms.items():
+        for base, c in self._terms.items():
             degree = base >> dsh
             exps = []
-            for sh, unit, grow in grouped:
+            for sh, unit, grow, d, top in grouped:
                 e = (base >> sh) & _MASK
                 exps.append(e)
                 base -= e * unit
                 degree += e * grow
+                if d != 1:
+                    c *= d ** (top - e)
             key = 0
-            for sh, unit, grow, mkey, mcoeff in moved:
+            for sh, unit, grow, d, top, mkey, mcoeff in moved:
                 e = (base >> sh) & _MASK
+                if d != 1:
+                    c *= d ** (top - e)
                 if e:
                     base -= e * unit
                     degree += e * grow
@@ -422,7 +433,7 @@ class MPoly:
         acc: dict = {}
         for group, product in zip(groups.values(), products):
             _addmul(acc, group, product)
-        return MPoly(target, _unscaled(acc, scale))
+        return MPoly._make(target, acc, den)
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
         """Full evaluation at rational values for every variable."""
@@ -511,7 +522,7 @@ def _rehomogenize(poly: MPoly, var: str, total_degree: int) -> MPoly:
         if gap < 0:
             raise ValueError("term degree exceeds homogenization target")
         out[_remap_key(k, table) + gap * unit] = c
-    return MPoly(target, out, _clean_input=False)
+    return MPoly._make(target, out, poly._den)
 
 
 # -- canonical text format -------------------------------------------------
@@ -563,24 +574,29 @@ def monic_divrem(f: MPoly, g: MPoly, var: str) -> tuple:
     dg = max(((k >> sh) & _MASK for k in gt), default=-1)
     if dg < 0:
         raise ZeroDivisionError("division by the zero polynomial")
+    b = g._den
     lead = {k: c for k, c in gt.items() if (k >> sh) & _MASK == dg}
-    if lead != {(dg << sh) | (dg << dsh): 1}:
+    if lead != {(dg << sh) | (dg << dsh): b}:
         raise ValueError(f"divisor is not monic in {var!r}")
     dgt = max(gt) >> dsh
-    r = dict(ft)
+    # pseudo-division: G = b * g is led by b * var**dg, and f's ints are
+    # scaled by b**steps, so every leading part taken is a multiple of b
+    steps = max(max(((k >> sh) & _MASK for k in ft), default=-1) - dg + 1, 0)
+    r = _scaled(ft, b ** steps)
     q: dict = {}
     while True:
         dr = max(((k >> sh) & _MASK for k in r), default=-1)
         if dr < dg:
             break
         # stripping dg from the exponent leaves the quotient term at dr - dg
-        qpart = {k - (dg << sh) - (dg << dsh): c
+        qpart = {k - (dg << sh) - (dg << dsh): c // b
                  for k, c in r.items() if (k >> sh) & _MASK == dr}
         _check_degree((max(qpart) >> dsh) + dgt)
         for k, c in qpart.items():
             q[k] = q.get(k, 0) + c
         r = {k: c for k, c in _addmul(r, qpart, gt, -1).items() if c}
-    return MPoly(vs, q), MPoly(vs, r)
+    return (MPoly._make(vs, q, f._den * b ** max(steps - 1, 0)),
+            MPoly._make(vs, r, f._den * b ** steps))
 
 
 # -- determinants ------------------------------------------------------------
@@ -591,10 +607,9 @@ def det_fraction_free(rows: Sequence[Sequence]) -> MPoly:
 
     Expansion by minors, column by column, with every minor cached by its
     row set (Gentleman & Johnson, ACM TOMS 2(3), 1976).  It never divides
-    polynomials: each row is first scaled by the lcm of its coefficient
-    denominators, so the expansion runs on ints, and only the final result
-    is divided by the product of the scales, each coefficient once, as it
-    is written.  The cost is O(n * 2^n)
+    polynomials: each row is put over the lcm of its entries'
+    denominators, so the expansion runs on ints, and the result is over the
+    product of those lcms.  The cost is O(n * 2^n)
     entry-times-minor products, which suits the matrices its callers build
     (``resultant``'s Bezout matrices are max(p, q)-square: 4x4 for the
     discriminant of a quintic, 5x5 for the quintic pipeline) but grows fast
@@ -631,14 +646,12 @@ def det_fraction_free(rows: Sequence[Sequence]) -> MPoly:
     grid = []
     scale = 1
     for row in rows:
-        row, m = _cleared([_remap_terms(e._terms, e._vars, vs) for e in row])
+        m = lcm(*(e._den for e in row))
         scale *= m
-        grid.append(row)
+        grid.append([_scaled(_remap_terms(e._terms, e._vars, vs), m // e._den)
+                     for e in row])
     if nv < 2:
-        det = _expand_minors(grid, nv * _BITS)
-        if scale != 1:
-            det = {k: _quotient(c, scale) for k, c in det.items()}
-        return MPoly(vs, det, _clean_input=False)
+        return MPoly._make(vs, _expand_minors(grid, nv * _BITS), scale)
     columns = list(zip(*grid))
     shifts = [(nv - 1 - s) * _BITS for s in range(nv)]
     bounds = [sum(max(((k >> sh) & _MASK for e in col for k in e), default=0)
@@ -677,10 +690,10 @@ def det_fraction_free(rows: Sequence[Sequence]) -> MPoly:
             ev += skip
             c = ((packed & mask) ^ half) - half
             _check_degree(degree + ev)
-            det[base + (ev << sh) + (ev << dsh)] = _quotient(c, scale)
+            det[base + (ev << sh) + (ev << dsh)] = c
             packed = (packed - c) >> width
             ev += 1
-    return MPoly(vs, det, _clean_input=False)
+    return MPoly._make(vs, det, scale)
 
 
 def _expand_minors(grid: list, dsh: int) -> dict:

@@ -11,6 +11,7 @@ checks the same examples.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import pytest
 import sympy
@@ -325,7 +326,12 @@ def sympy_poly(f):
 @given(polynomials(NAMES, 6), polynomials(NAMES, 4), polynomials(NAMES, 4),
        st.sampled_from((1, -1)))
 def test_product_kernel_matches_sympy(f, g, h, sign):
-    got = MPoly(NAMES, _addmul(dict(f._terms), g._terms, h._terms, sign))
+    # the kernel runs on int dicts: f and g * h are put over one
+    # denominator m first
+    m = lcm(f._den, g._den * h._den)
+    acc = {k: c * (m // f._den) for k, c in f._terms.items()}
+    scaled = {k: c * (m // (g._den * h._den)) for k, c in g._terms.items()}
+    got = MPoly._make(NAMES, _addmul(acc, scaled, h._terms, sign), m)
     assert sympy_poly(got) == (sympy_poly(f)
                                + sign * sympy_poly(g) * sympy_poly(h))
 

@@ -1,10 +1,15 @@
 """Exact sparse polynomial arithmetic: ring axioms, calculus, text format,
-Euclidean division, and fraction-free determinants."""
+Euclidean division, fraction-free determinants, and the canonical stored
+form (int terms over one denominator)."""
 
 import random
+import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binform.mpoly import (
     MPoly,
@@ -80,6 +85,21 @@ class TestConstruction:
     def test_variable_name_must_be_an_identifier(self):
         with pytest.raises(ValueError, match=r"^bad variable name: '1x'$"):
             MPoly.variable("1x")
+
+    @pytest.mark.parametrize("e", [True, False, 1.0, Fraction(1), "1"])
+    def test_exponents_are_ints(self, e):
+        message = f"^exponent {re.escape(repr(e))} is not an int$"
+        with pytest.raises(TypeError, match=message):
+            X ** e
+        with pytest.raises(TypeError, match=message):
+            MPoly.from_terms(("x",), {(e,): 1})
+        with pytest.raises(TypeError, match=message):
+            MPoly.from_terms(("x", "y"), {(1, e): 1})
+
+    def test_negative_power_is_a_value_error(self):
+        with pytest.raises(ValueError,
+                           match="^exponent must be a nonnegative integer$"):
+            X ** -1
 
     def test_from_terms_rejects_bad_exponent_vectors(self):
         with pytest.raises(ValueError,
@@ -412,3 +432,73 @@ class TestRehomogenize:
             _rehomogenize(X + Y, "x", 3)
         with pytest.raises(ValueError, match="exceeds"):
             _rehomogenize(X ** 4 + Y, "a", 3)
+
+
+# every public operation returns the canonical stored form
+
+CANONICAL = settings(derandomize=True, database=None, deadline=None,
+                     max_examples=40)
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+
+
+@st.composite
+def polys(draw, names=("x", "y"), top=3):
+    """Up to five terms with rational coefficients, the exponent of the
+    first variable below ``top``."""
+    keys = st.tuples(st.integers(0, top - 1),
+                     *[st.integers(0, 3)] * (len(names) - 1))
+    return MPoly.from_terms(
+        names, draw(st.dictionaries(keys, rationals, max_size=5)))
+
+
+def assert_canonical(p):
+    """Int terms, none zero, over a positive int denominator coprime to
+    their content."""
+    assert type(p._den) is int and p._den > 0
+    assert all(type(c) is int and c for c in p._terms.values())
+    assert gcd(p._den, *p._terms.values()) == 1
+
+
+class TestCanonicalForm:
+    @CANONICAL
+    @given(polys(("x", "y")), polys(("y", "z")), st.integers(0, 3),
+           rationals.filter(lambda c: c < 0))
+    def test_ring_operations(self, f, g, e, c):
+        for p in (f, g, f + g, f - g, -f, f * g, f ** e, f / c, f * c,
+                  f + c, c - f, MPoly.constant(c),
+                  MPoly(("x",), {65537: c, 0: Fraction(1, 3)})):
+            assert_canonical(p)
+
+    @CANONICAL
+    @given(polys(("x", "y")))
+    def test_calculus_and_universes(self, f):
+        assert_canonical(f.diff("x"))
+        for c in f.coefficients("x"):
+            assert_canonical(c)
+        assert_canonical(f.in_universe(("w", "x", "y")))
+        assert_canonical(_rehomogenize(f, "a", 6))
+
+    @CANONICAL
+    @given(polys(("x", "y", "z")),
+           st.dictionaries(st.sampled_from(("x", "y", "z")),
+                           st.one_of(rationals, polys(("y", "z")))))
+    def test_substitute(self, f, bindings):
+        assert_canonical(f.substitute(bindings))
+
+    @CANONICAL
+    @given(polys(("x", "y"), top=6), st.integers(1, 3), st.data())
+    def test_monic_divrem(self, f, d, data):
+        # a monic divisor with a rational tail below x**d
+        g = X ** d + data.draw(polys(("x", "y"), top=d))
+        q, r = monic_divrem(f, g, "x")
+        assert_canonical(q)
+        assert_canonical(r)
+        assert q * g + r == f and r.degree("x") < d
+
+    @CANONICAL
+    @given(st.integers(1, 3), st.sampled_from([("x",), ("x", "y")]),
+           st.data())
+    def test_det_fraction_free(self, n, names, data):
+        # over one variable the terms are kept, over two one is packed
+        rows = [[data.draw(polys(names)) for _ in range(n)] for _ in range(n)]
+        assert_canonical(det_fraction_free(rows))
