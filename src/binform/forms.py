@@ -15,7 +15,8 @@ from functools import lru_cache
 from math import comb, factorial, lcm, perm
 from typing import Sequence
 
-from .mpoly import (MPoly, Scalar, _as_exact, _as_fraction, _monomials,
+from .mpoly import (_BITS, MPoly, Scalar, _addmul, _as_exact, _as_fraction,
+                    _check_degree, _monomials, _remap_terms, _scaled,
                     det_fraction_free)
 
 __all__ = [
@@ -283,6 +284,16 @@ def resultant(f: BinaryForm, g: BinaryForm) -> MPoly:
     Res(f, g) = (-1)^(pq) Res(g, f) restores the sign.  For the generic
     quintic's pipeline (p = 5, q = 4) this is a 5x5 determinant instead of
     a 9x9 one.
+
+    The matrix is built on int term dicts in one universe, by the product
+    kernel, with no MPoly arithmetic: f's coefficients go over their
+    common denominator da and g's over db, so the recurrence runs on the
+    ints of da f and db g.  Each entry is then wrapped once, a Bezout-row
+    entry over da db and a G-row entry over db.  The resultant is
+    homogeneous of degree q in f's coefficients and p in g's, so the int
+    matrix has determinant da^q db^p Res(f, g), and its q Bezout rows over
+    da db and p - q G rows over db divide out exactly that: the
+    determinant of the wrapped rows is already Res(f, g).
     """
     p, q = f.order, g.order
     if p == 0 or q == 0:
@@ -291,18 +302,42 @@ def resultant(f: BinaryForm, g: BinaryForm) -> MPoly:
     if p < q:
         f, g, p, q = g, f, q, p
         sign = (-1) ** (p * q)
-    a, b = f.coeffs, g.coeffs
+    vs = tuple(sorted({v for c in f.coeffs + g.coeffs
+                       if isinstance(c, MPoly) for v in c.variables}))
+    a, da = _int_coefficients(f.coeffs, vs)
+    b, db = _int_coefficients(g.coeffs, vs)
+    dsh = len(vs) * _BITS
+    _check_degree(max((k >> dsh for e in a for k in e), default=0)
+                  + max((k >> dsh for e in b for k in e), default=0))
     bezout = []
-    row = [0] * p
+    row = [{}] * p
     for k in range(q):
-        row = [(row[c + 1] if c + 1 < p else 0)
-               + (a[k] * b[c + 1] if c < q else 0) - b[k] * a[c + 1]
-               for c in range(p)]
+        nxt = []
+        for c in range(p):
+            entry = dict(row[c + 1]) if c + 1 < p else {}
+            if c < q:
+                _addmul(entry, a[k], b[c + 1])
+            nxt.append(_addmul(entry, b[k], a[c + 1], -1))
+        row = nxt
         bezout.append(row)
-    rows = bezout[::-1] + [[0] * j + list(b) + [0] * (p - q - 1 - j)
-                           for j in range(p - q)]
+    rows = [[MPoly._make(vs, e, da * db) for e in row]
+            for row in reversed(bezout)]
+    g_row = [MPoly._make(vs, e, db) for e in b]
+    rows += [[0] * j + g_row + [0] * (p - q - 1 - j) for j in range(p - q)]
     det = det_fraction_free(rows)
     return det if sign == 1 else -det
+
+
+def _int_coefficients(coeffs: Sequence, vs: tuple) -> tuple:
+    """The coefficients, Fractions or MPolys over part of the universe vs,
+    as new int term dicts over vs times their common denominator d, and
+    d."""
+    d = lcm(*(c._den if isinstance(c, MPoly) else c.denominator
+              for c in coeffs))
+    return [_scaled(_remap_terms(c._terms, c._vars, vs), d // c._den)
+            if isinstance(c, MPoly)
+            else {0: c.numerator * (d // c.denominator)} if c else {}
+            for c in coeffs], d
 
 
 def discriminant(form: BinaryForm) -> MPoly:

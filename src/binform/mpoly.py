@@ -108,6 +108,18 @@ class MPoly:
         vs = tuple(variables)
         if list(vs) != sorted(vs) or len(set(vs)) != len(vs):
             raise ValueError("variable universe must be sorted and duplicate-free")
+        n = len(vs)
+        for k in terms:
+            # a key packs an exponent vector: its degree field, above the
+            # n exponent fields, is their sum
+            if isinstance(k, bool) or not isinstance(k, int):
+                raise TypeError(f"term key {k!r} is not an int")
+            degree = k >> (n * _BITS)
+            if k < 0 or degree != sum((k >> (i * _BITS)) & _MASK
+                                      for i in range(n)):
+                raise ValueError(f"term key {k} does not pack an exponent "
+                                 f"vector over {vs}")
+            _check_degree(degree)
         values = [_as_fraction(c) for c in terms.values()]
         den = lcm(*(c.denominator for c in values))
         self._set(vs, {k: c.numerator * (den // c.denominator)

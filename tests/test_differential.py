@@ -15,7 +15,7 @@ from math import lcm
 
 import pytest
 import sympy
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from binform.beauville import (KEYPROP_TABLES, _row_reduce,
@@ -238,26 +238,52 @@ def test_resultant_matches_sympy(data):
     assert resultant(g, f) == res * (-1) ** (p * q)
 
 
-@DIFFERENTIAL
-@given(st.data())
-def test_resultant_equals_sylvester_determinant(data):
-    # the Bezout route against the Sylvester route, for every pair of
-    # orders up to 6, with zero leading and trailing coefficients drawn on
-    # purpose
-    p = data.draw(st.integers(1, 6))
-    q = data.draw(st.integers(1, 6))
+V = MPoly.variable("v")
+# polynomials linear in a variable no other strategy uses, over
+# denominators of their own: the shape of the pipeline's reduced
+# j-polynomial, whose coefficients are rational polynomials in z
+linear_in_v = st.builds(lambda c0, c1: c0 + c1 * V, rationals, rationals)
+
+
+@st.composite
+def form_pairs(draw):
+    """Two forms of orders up to 6 whose coefficient kinds are drawn
+    independently, with zero leading and trailing coefficients drawn on
+    purpose."""
+    p = draw(st.integers(1, 6))
+    q = draw(st.integers(1, 6))
     kinds = (integers, rationals)
+    if p + q <= 9:
+        kinds += (linear_in_v,)
     if p + q <= 6:
-        kinds += (monomial_sums(integers),)
-    coefficients = data.draw(st.sampled_from(kinds))
+        kinds += (monomial_sums(integers), monomial_sums())
     pair = []
     for order in (p, q):
-        coeffs = data.draw(st.lists(coefficients, min_size=order + 1,
-                                    max_size=order + 1))
+        coefficients = draw(st.sampled_from(kinds))
+        coeffs = draw(st.lists(coefficients, min_size=order + 1,
+                               max_size=order + 1))
         for end in (0, -1):
-            if data.draw(st.booleans()):
+            if draw(st.booleans()):
                 coeffs[end] = 0
         pair.append(BinaryForm(coeffs))
+    return tuple(pair)
+
+
+# the pipeline's shape, both ways round: a monic quintic over denominators
+# 2 and 7 against a quartic linear in v over denominators 3, 9, 5 and 6
+PIPELINE_SHAPE = (
+    BinaryForm([1, Fraction(1, 2), -3, Fraction(5, 7), 0, 11]),
+    BinaryForm([V / 3 + 1, 2 * V, Fraction(-4, 9), V - Fraction(1, 5), V / 6]))
+
+
+@DIFFERENTIAL
+@given(form_pairs())
+@example(PIPELINE_SHAPE)
+@example(PIPELINE_SHAPE[::-1])
+def test_resultant_equals_sylvester_determinant(pair):
+    # the Bezout route against the Sylvester route.  f and g go over
+    # different denominators when their kinds differ, as in the pipeline,
+    # where f is numeric and g's coefficients are linear in z
     f, g = pair
     assert resultant(f, g) == det_fraction_free(sylvester_matrix(f, g))
 

@@ -376,6 +376,36 @@ class TestResultant:
         g = BinaryForm([0, 1, 0])
         assert resultant(f, g) == -t
 
+    @pytest.mark.parametrize("swap", [False, True], ids=["p>q", "p<q"])
+    def test_bezout_matrix_is_built_without_mpoly_arithmetic(
+            self, monkeypatch, swap):
+        # the pipeline's shape: a monic quintic with rational coefficients
+        # against a quartic whose coefficients are rational polynomials in z
+        # (tests/test_differential.py checks its value).  The matrix is
+        # built on int term dicts, and the one determinant call goes
+        # through the module-bound name that tracers wrap
+        z = MPoly.variable("z")
+        f = BinaryForm([1, Fraction(1, 2), -3, Fraction(5, 7), 0, 11])
+        g = BinaryForm([z / 3 + 1, 2 * z, Fraction(-4, 9), z - Fraction(1, 5),
+                        z / 6])
+        if swap:
+            f, g = g, f
+        calls = {"__mul__": 0, "__add__": 0, "det": 0}
+
+        def spy(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        for attr in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            name = "__mul__" if "mul" in attr else "__add__"
+            monkeypatch.setattr(MPoly, attr, spy(name, getattr(MPoly, attr)))
+        monkeypatch.setattr(forms, "det_fraction_free",
+                            spy("det", forms.det_fraction_free))
+        resultant(f, g)
+        assert calls == {"__mul__": 0, "__add__": 0, "det": 1}
+
 
 class TestResultantAgainstSylvester:
     # resultant takes the max(p, q)-square hybrid Bezout determinant; the

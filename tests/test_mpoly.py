@@ -55,6 +55,38 @@ class TestConstruction:
         with pytest.raises(TypeError, match="exact rational"):
             MPoly(("x",), {65537: value})
 
+    @pytest.mark.parametrize("universe, key", [
+        (("x",), 1),            # x's field without the degree field
+        (("x",), -5),
+        (("x",), (2 << 16) | 1),  # degree 2 over an exponent of 1
+        (("x", "y"), (1 << 32) | (1 << 16) | 1),
+        ((), 1),
+    ], ids=["no-degree", "negative", "wrong-degree", "wrong-sum", "empty"])
+    def test_raw_keys_must_pack_an_exponent_vector(self, universe, key):
+        with pytest.raises(ValueError, match=(
+                f"^term key {key} does not pack an exponent vector over "
+                f"{re.escape(str(universe))}$")):
+            MPoly(universe, {key: 3})
+
+    @pytest.mark.parametrize("key", ["k", True, 1.0, (1,)])
+    def test_raw_keys_must_be_ints(self, key):
+        with pytest.raises(TypeError,
+                           match=f"^term key {re.escape(repr(key))} is not an int$"):
+            MPoly(("x",), {key: 1})
+
+    def test_raw_keys_follow_the_degree_bound(self):
+        # x^40000 * y^40000 packs consistently, but its degree overflows
+        key = (80000 << 32) | (40000 << 16) | 40000
+        with pytest.raises(OverflowError, match="total degree 80000"):
+            MPoly(("x", "y"), {key: 1})
+
+    def test_raw_keys_round_trip(self):
+        p = MPoly(("x", "y"),
+                  {(3 << 32) | (1 << 16) | 2: 5, (1 << 32) | 1: 1, 0: 2})
+        assert str(p) == "5*x*y^2 + y + 2"
+        assert p.total_degree() == 3
+        assert MPoly(p.variables, p._terms) == p
+
     def test_variable(self):
         assert X.variables == ("x",)
         assert X.total_degree() == 1
