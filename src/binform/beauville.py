@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd, isqrt, lcm
 
-from .forms import BinaryForm, GroupElement, act, resultant, weight_of
+from .forms import (BinaryForm, GroupElement, _over, act, resultant,
+                    weight_of)
 from .invariants import (
     InvariantVector,
     _require_order,
@@ -25,6 +27,7 @@ from .invariants import (
     quartic_S,
     quartic_T,
     quintic_invariants,
+    _scaled_invariants,
     sylvester_invariants,
     sylvester_specialize,
     SylvesterPoint,
@@ -402,16 +405,24 @@ def beauville_closed_form(quintic: BinaryForm) -> BeauvilleVector:
 
     Exactly equal to the pipeline output — the test suite pins the two
     routes against each other — but costs microseconds instead of running
-    the symbolic resultant.  J, K, L go over one common denominator q,
-    found without factoring, so that j = J q, k = K q**2 and l = L q**3
-    are ints; the seven degree-24 monomials l**a k**b j**c are each
-    L**a K**b J**c times q**6, and every entry is one int dot product with
-    its table's int coefficients, divided once by the table's content
-    times q**6.
+    the symbolic resultant.  J, K, L, from the int chain without H, go over
+    one common denominator q, found without factoring, so that j = J q,
+    k = K q**2 and l = L q**3 are ints; the seven degree-24 monomials
+    l**a k**b j**c are each L**a K**b J**c times q**6, and every entry is
+    one int dot product S_i with its table's int coefficients, divided
+    once by the table's content times q**6.
     """
+    sums, q6 = _closed_form_sums(quintic)
+    return BeauvilleVector(
+        [Fraction(content.numerator * s, content.denominator * q6)
+         for (content, _), s in zip(_INT_TABLES, sums)])
+
+
+def _closed_form_sums(quintic: BinaryForm) -> tuple:
+    """The six dot products S_i of ``beauville_closed_form``, and q**6."""
     _require_order(quintic, 5, "beauville_closed_form")
-    vector = quintic_invariants(quintic)
-    J, K, L = vector.J, vector.K, vector.L
+    J, K, L = (_as_exact(_over(n, d))    # a constant MPoly as a Fraction
+               for n, d in islice(_scaled_invariants(quintic), 3))
     if any(isinstance(x, MPoly) for x in (J, K, L)):
         raise TypeError("closed-form route needs a numeric quintic")
     q = J.denominator
@@ -422,11 +433,8 @@ def beauville_closed_form(quintic: BinaryForm) -> BeauvilleVector:
     monomials = _monomials(_BASIS_24, (L.numerator * (q3 // L.denominator),
                                        K.numerator * (q2 // K.denominator),
                                        J.numerator * (q // J.denominator)))
-    q6 = q3 * q3
-    return BeauvilleVector(
-        [Fraction(content.numerator * sum(c * monomials[i] for i, c in table),
-                  content.denominator * q6)
-         for content, table in _INT_TABLES])
+    return ([sum(c * monomials[i] for i, c in table)
+             for _, table in _INT_TABLES], q3 * q3)
 
 
 def _int_table(table: JKLPolynomial) -> tuple:
@@ -787,9 +795,13 @@ def gl2_equivalent(first: BinaryForm, second: BinaryForm) -> bool:
 
 def same_j_data(first: BinaryForm, second: BinaryForm) -> bool:
     """True iff the two stable quintics have proportional invariant vectors
-    b0..b5 — equivalently, the same five-point j-data."""
-    b1 = beauville_closed_form(first).b
-    b2 = beauville_closed_form(second).b
-    if b1[0] == 0 or b2[0] == 0:
+    b0..b5 — equivalently, the same five-point j-data.
+
+    Decided exactly on the ints of ``_closed_form_sums``: b_i = c_i S_i /
+    q**6 with c_i != 0, so S2_0 S1_i = S1_0 S2_i iff b2_0 b1_i = b1_0 b2_i.
+    """
+    s1, _ = _closed_form_sums(first)
+    s2, _ = _closed_form_sums(second)
+    if s1[0] == 0 or s2[0] == 0:
         raise ValueError("repeated roots; j-data undefined")
-    return all(b2[0] * b1[i] == b1[0] * b2[i] for i in range(1, 6))
+    return all(s2[0] * s1[i] == s1[0] * s2[i] for i in range(1, 6))

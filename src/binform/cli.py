@@ -87,16 +87,15 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_beauville(args) -> int:
     form = _parse_quintic(args.coeffs)
-    vector = quintic_invariants(form)
-    if vector.Disc == 0:
-        print("warning: discriminant is zero (repeated roots); b0 = 0",
-              file=sys.stderr)
     if args.pipeline:
         result, _ = beauville_pipeline(form)
         route = "pipeline"
     else:
         result = beauville_closed_form(form)
         route = "closed-form"
+    if result.b[0] == 0:    # b0 = 2**-40 Disc**3
+        print("warning: discriminant is zero (repeated roots); b0 = 0",
+              file=sys.stderr)
     _emit({"route": route, "b": result.to_json_list()})
     return 0
 

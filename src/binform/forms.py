@@ -175,6 +175,7 @@ def act(g: GroupElement, form: BinaryForm) -> BinaryForm:
     """The substitution action (g.F)(x) = F(g^-1 x): with h = g^-1, the sum
     of c_i X1^(p-i) X2^i over the linear forms X1 = h.a x1 + h.b x2 and
     X2 = h.c x1 + h.d x2."""
+    _require_forms("act", form)
     h = g.inverse()
     p = form.order
     images = _monomials([(p - i, i) for i in range(p + 1)],
@@ -201,6 +202,7 @@ def transvectant(f: BinaryForm, g: BinaryForm, k: int) -> BinaryForm:
     The sum runs with int weights, and each coefficient is divided once
     by their common denominator.
     """
+    _require_forms("transvectant", f, g)
     out, den = _transvectant_sum(f.coeffs, g.coeffs, k)
     return BinaryForm([_over(c, den) for c in out])
 
@@ -250,6 +252,7 @@ def sylvester_matrix(f: BinaryForm, g: BinaryForm) -> list:
     ``resultant`` does not build it; it is the independent second route
     that the tests check the resultant against.
     """
+    _require_forms("sylvester_matrix", f, g)
     p, q = f.order, g.order
     if p == 0 or q == 0:
         raise ValueError("resultant needs two forms of positive order")
@@ -295,6 +298,7 @@ def resultant(f: BinaryForm, g: BinaryForm) -> MPoly:
     da db and p - q G rows over db divide out exactly that: the
     determinant of the wrapped rows is already Res(f, g).
     """
+    _require_forms("resultant", f, g)
     p, q = f.order, g.order
     if p == 0 or q == 0:
         raise ValueError("resultant needs two forms of positive order")
@@ -328,6 +332,13 @@ def resultant(f: BinaryForm, g: BinaryForm) -> MPoly:
     return det if sign == 1 else -det
 
 
+def _require_forms(what: str, *forms) -> None:
+    for form in forms:
+        if not isinstance(form, BinaryForm):
+            raise TypeError(
+                f"{what} needs a BinaryForm, got {type(form).__name__}")
+
+
 def _int_coefficients(coeffs: Sequence, vs: tuple) -> tuple:
     """The coefficients, Fractions or MPolys over part of the universe vs,
     as new int term dicts over vs times their common denominator d, and
@@ -345,6 +356,7 @@ def discriminant(form: BinaryForm) -> MPoly:
 
     (-1)^(p(p-1)/2) / p^(p-2) * Res(dF/dx1, dF/dx2).
     """
+    _require_forms("discriminant", form)
     p = form.order
     if p < 2:
         raise ValueError("discriminant needs a form of order >= 2")

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from typing import Iterator, NamedTuple
 
-from .forms import (BinaryForm, _over, _transvectant_sum, discriminant,
-                    transvectant)
+from .forms import (BinaryForm, _over, _require_forms, _transvectant_sum,
+                    discriminant, transvectant)
 from .mpoly import MPoly, _as_exact
 
 __all__ = [
@@ -51,6 +52,7 @@ __all__ = [
 
 
 def _require_order(form: BinaryForm, order: int, what: str) -> None:
+    _require_forms(what, form)
     if form.order != order:
         raise ValueError(
             f"{what} requires a form of order {order}, got order {form.order}")
@@ -175,9 +177,9 @@ def quintic_covariants(quintic: BinaryForm) -> CovariantChain:
                             for form, scale in _scaled_covariants(quintic)))
 
 
-def _scaled_covariants(quintic: BinaryForm) -> list:
-    """The covariant chain as (coefficients, scale) pairs, each covariant
-    being its coefficients over its int scale.
+def _scaled_covariants(quintic: BinaryForm) -> Iterator[tuple]:
+    """The covariant chain as (coefficients, scale) pairs, one at a time,
+    each covariant being its coefficients over its int scale.
 
     A numeric quintic is cleared first, by the lcm m of its coefficient
     denominators, so that every sum runs on ints; with an MPoly
@@ -190,9 +192,8 @@ def _scaled_covariants(quintic: BinaryForm) -> list:
         f = [c.numerator * (m // c.denominator) for c in f]
     first = _scaled_transvectant((f, m), (f, m), 4)
     second = _scaled_transvectant((f, m), first, 2)
-    third = _scaled_transvectant(second, second, 2)
-    fourth = _scaled_transvectant(second, first, 2)
-    return [first, second, third, fourth]
+    yield from (first, second, _scaled_transvectant(second, second, 2))
+    yield _scaled_transvectant(second, first, 2)
 
 
 def _scaled_transvectant(f: tuple, g: tuple, k: int) -> tuple:
@@ -272,15 +273,22 @@ def quintic_invariants(quintic: BinaryForm) -> InvariantVector:
     Each is one numerator of the scaled chain, divided once.
     """
     _require_order(quintic, 5, "quintic_invariants")
-    first, _, third, fourth = _scaled_covariants(quintic)
-    left = _scaled_transvectant(fourth, third, 1)
-    right = _scaled_transvectant(first, fourth, 1)
-    values = []
-    for f, g, k, divisor in ((first, first, 2, -2), (first, third, 2, 8),
-                             (third, third, 2, 96), (left, right, 1, -384)):
-        out, scale = _scaled_transvectant(f, g, k)
-        values.append(_over(out[0], divisor * scale))
-    return InvariantVector(*values)
+    return InvariantVector(*(_over(n, d)
+                             for n, d in _scaled_invariants(quintic)))
+
+
+def _scaled_invariants(quintic: BinaryForm) -> Iterator[tuple]:
+    """J, K, L, H as pairs (n, d) of value n / d, lazily: L needs no H."""
+    chain = _scaled_covariants(quintic)
+    first, _, third = islice(chain, 3)
+    for f, g, divisor in ((first, first, -2), (first, third, 8),
+                          (third, third, 96)):
+        out, scale = _scaled_transvectant(f, g, 2)
+        yield out[0], divisor * scale
+    fourth = next(chain)
+    out, scale = _scaled_transvectant(_scaled_transvectant(fourth, third, 1),
+                                      _scaled_transvectant(first, fourth, 1), 1)
+    yield out[0], -384 * scale
 
 
 def verify_relation(vector: InvariantVector) -> bool:
@@ -403,18 +411,15 @@ def verify_disc(samples: int = 20, seed: int = 0) -> dict:
     """
     point = SylvesterPoint.symbolic()
     form = sylvester_specialize(point)
-    vector = quintic_invariants(form)
-    symbolic_ok = (discriminant(form)
-                   == 3125 * (vector.J * vector.J - 128 * vector.K))
+    # InvariantVector's Disc is 5**5 * (J**2 - 128*K)
+    symbolic_ok = discriminant(form) == quintic_invariants(form).Disc
 
     rng = random.Random(seed)
     numeric_ok = True
     for _ in range(samples):
         coeffs = [rng.randrange(-9, 10) for _ in range(6)]
         form = BinaryForm(coeffs)
-        vector = quintic_invariants(form)
-        right = 3125 * (vector.J * vector.J - 128 * vector.K)
-        if discriminant(form) != right:
+        if discriminant(form) != quintic_invariants(form).Disc:
             numeric_ok = False
             break
     return {

@@ -23,11 +23,20 @@ from binform.beauville import (
     thm48_decompose,
     verify_keyprop,
 )
-from binform.forms import BinaryForm, GroupElement, act, generic_form
+from binform.forms import (BinaryForm, GroupElement, act, discriminant,
+                           generic_form, resultant, sylvester_matrix,
+                           transvectant)
 from binform.invariants import (
     SylvesterPoint,
+    canonizant,
     j_invariant,
     monomial_basis,
+    quartic_invariants,
+    quartic_S,
+    quartic_S_transvectant,
+    quartic_T,
+    quartic_T_transvectant,
+    quintic_covariants,
     quintic_invariants,
     sylvester_specialize,
 )
@@ -244,6 +253,18 @@ class TestNumericPipeline:
                                  " quintic$"):
             beauville_closed_form(
                 BinaryForm([MPoly.variable("t"), 0, 0, 0, 0, 1]))
+
+    def test_closed_form_of_symbolic_form_with_constant_invariants(self):
+        # (x1 + t x2)**5 + x2**5 is a unipotent image of x1**5 + x2**5, so
+        # its J, K, L are constant polynomials in t: the closed forms and
+        # the j-data are numbers
+        t = MPoly.variable("t")
+        form = BinaryForm([1, 5 * t, 10 * t ** 2, 10 * t ** 3, 5 * t ** 4,
+                           t ** 5 + 1])
+        fifth_powers = BinaryForm([1, 0, 0, 0, 0, 1])
+        assert (beauville_closed_form(form)
+                == beauville_closed_form(fifth_powers))
+        assert same_j_data(form, fifth_powers)
 
 
 class TestSymbolicPipeline:
@@ -643,3 +664,45 @@ class TestBeauvilleVector:
         vector = BeauvilleVector([MPoly.variable("a0")] + [0] * 5)
         with pytest.raises(TypeError, match="numeric"):
             vector.to_json_list()
+
+
+# every public route that takes a form, with the route its error names:
+# the two-form routes are given the list on either side
+QUINTIC = BinaryForm([1, 0, 0, 0, 0, 1])
+COEFFS = [1, 0, 0, 0, 0, 1]
+ROUTES_GIVEN_A_LIST = [
+    (quartic_S, (COEFFS[:5],), "quartic_S"),
+    (quartic_S_transvectant, (COEFFS[:5],), "quartic_S_transvectant"),
+    (quartic_T, (COEFFS[:5],), "quartic_T"),
+    (quartic_T_transvectant, (COEFFS[:5],), "quartic_T_transvectant"),
+    (quartic_invariants, (COEFFS[:5],), "quartic_S"),
+    (j_invariant, (COEFFS[:5],), "quartic_S"),
+    (quintic_covariants, (COEFFS,), "quintic_covariants"),
+    (canonizant, (COEFFS,), "canonizant"),
+    (quintic_invariants, (COEFFS,), "quintic_invariants"),
+    (beauville_pipeline, (COEFFS,), "beauville_pipeline"),
+    (beauville_closed_form, (COEFFS,), "beauville_closed_form"),
+    (equivalence_witness, (QUINTIC, COEFFS), "equivalence_witness"),
+    (equivalence_witness, (COEFFS, QUINTIC), "equivalence_witness"),
+    (gl2_equivalent, (COEFFS, QUINTIC), "equivalence_witness"),
+    (same_j_data, (QUINTIC, COEFFS), "beauville_closed_form"),
+    (same_j_data, (COEFFS, QUINTIC), "beauville_closed_form"),
+    (discriminant, (COEFFS,), "discriminant"),
+    (resultant, (QUINTIC, COEFFS), "resultant"),
+    (resultant, (COEFFS, QUINTIC), "resultant"),
+    (sylvester_matrix, (QUINTIC, COEFFS), "sylvester_matrix"),
+    (sylvester_matrix, (COEFFS, QUINTIC), "sylvester_matrix"),
+    (act, (GroupElement(1, 1, 0, 1), COEFFS), "act"),
+    (transvectant, (QUINTIC, COEFFS, 2), "transvectant"),
+    (transvectant, (COEFFS, QUINTIC, 2), "transvectant"),
+]
+
+
+@pytest.mark.parametrize(
+    "route, args, name", ROUTES_GIVEN_A_LIST,
+    ids=[f"{route.__name__}-{i}"
+         for i, (route, _, _) in enumerate(ROUTES_GIVEN_A_LIST)])
+def test_routes_reject_a_list_of_coefficients(route, args, name):
+    with pytest.raises(TypeError,
+                       match=f"^{name} needs a BinaryForm, got list$"):
+        route(*args)

@@ -11,19 +11,21 @@ checks the same examples.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import lcm
 
 import pytest
 import sympy
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from binform.beauville import (KEYPROP_TABLES, _row_reduce,
                                beauville_closed_form, beauville_pipeline,
-                               decompose_in_JKL)
-from binform.forms import (BinaryForm, discriminant, generic_form, resultant,
+                               decompose_in_JKL, same_j_data)
+from binform.forms import (BinaryForm, GroupElement, act, discriminant,
+                           form_from_roots, generic_form, resultant,
                            sylvester_matrix, transvectant)
-from binform.invariants import quintic_invariants
+from binform.invariants import _scaled_invariants, quintic_invariants
 from binform.mpoly import (_BITS, MPoly, _addmul, _remap_key, _remap_table,
                            det_fraction_free, format_poly, monic_divrem)
 from conftest import run_cli
@@ -550,19 +552,95 @@ def test_closed_form_equals_the_fraction_route(form):
     assert beauville_closed_form(form).b == fraction_route(form)
 
 
-@pytest.mark.parametrize("form", [
+SPECIAL_FORMS = {
     # the canonical family at w = 1/4 has J = 0, at w = -1/2 K = 0
-    BinaryForm([Fraction(3, 4), Fraction(-5, 4), Fraction(-5, 2),
-                Fraction(-5, 2), Fraction(-5, 4), Fraction(3, 4)]),
-    BinaryForm([Fraction(3, 2), Fraction(5, 2), 5, 5, Fraction(5, 2),
-                Fraction(3, 2)]),
-    BinaryForm([1, 0, 0, 0, 0, 1]),      # K = L = 0
-    BinaryForm([1, 0, 0, 0, 0, 0]),      # a fivefold root: all of b vanish
-    BinaryForm([Fraction(7 * 10 ** 299 + i, 3 * 10 ** 299 - i * i)
-                for i in range(1, 7)]),
-], ids=["J-zero", "K-zero", "fifth-powers", "fivefold-root", "300-digits"])
+    "J-zero": BinaryForm([Fraction(3, 4), Fraction(-5, 4), Fraction(-5, 2),
+                          Fraction(-5, 2), Fraction(-5, 4), Fraction(3, 4)]),
+    "K-zero": BinaryForm([Fraction(3, 2), Fraction(5, 2), 5, 5,
+                          Fraction(5, 2), Fraction(3, 2)]),
+    "fifth-powers": BinaryForm([1, 0, 0, 0, 0, 1]),      # K = L = 0
+    # a fivefold root: all of b vanish
+    "fivefold-root": BinaryForm([1, 0, 0, 0, 0, 0]),
+    "300-digits": BinaryForm([Fraction(7 * 10 ** 299 + i, 3 * 10 ** 299 - i * i)
+                              for i in range(1, 7)]),
+}
+
+
+@pytest.mark.parametrize("form", SPECIAL_FORMS.values(), ids=SPECIAL_FORMS)
 def test_closed_form_equals_the_fraction_route_on_special_forms(form):
     assert beauville_closed_form(form).b == fraction_route(form)
+
+
+@pytest.mark.parametrize("form", SPECIAL_FORMS.values(), ids=SPECIAL_FORMS)
+def test_closed_form_chain_gives_the_invariants_j_k_l(form):
+    # the closed forms read J, K, L from the chain without H: the same
+    # values as quintic_invariants and as the generic J, K, L evaluated
+    chain = [Fraction(n, d) for n, d in islice(_scaled_invariants(form), 3)]
+    got = quintic_invariants(form)
+    values = coefficient_values("a", form)
+    assert chain == [got.J, got.K, got.L] == [
+        getattr(GENERIC, name).evaluate(values) for name in ("J", "K", "L")]
+
+
+def jdata_by_fractions(first, second):
+    """same_j_data's rule on the Fraction route: b0..b5 proportional."""
+    b1, b2 = fraction_route(first), fraction_route(second)
+    if b1[0] == 0 or b2[0] == 0:
+        raise ValueError("repeated roots; j-data undefined")
+    return all(b2[0] * b1[i] == b1[0] * b2[i] for i in range(1, 6))
+
+
+small_rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+
+@st.composite
+def jdata_pairs(draw):
+    """Two quintics, in either order: a form and its image under a random
+    GL2 element, a nonzero multiple of it, an independent draw, or a form
+    with a repeated root."""
+    first = draw(quintics_of_each_height())
+    kind = draw(st.sampled_from(("act", "scale", "independent", "repeated")))
+    if kind == "act":
+        g = draw(st.tuples(*[small_rationals] * 4).filter(
+            lambda e: e[0] * e[3] != e[1] * e[2]))
+        second = act(GroupElement(*g), first)
+    elif kind == "scale":
+        second = draw(rationals.filter(bool)) * first
+    elif kind == "independent":
+        second = draw(quintics_of_each_height())
+    else:
+        roots = draw(st.lists(st.tuples(integers, integers).filter(any),
+                              min_size=4, max_size=4))
+        second = form_from_roots(roots + roots[:1])
+    return (first, second) if draw(st.booleans()) else (second, first)
+
+
+@settings(DIFFERENTIAL, max_examples=120)
+@given(jdata_pairs())
+def test_same_j_data_equals_the_fraction_rule(pair):
+    try:
+        expected = jdata_by_fractions(*pair)
+    except ValueError:
+        with pytest.raises(ValueError,
+                           match="^repeated roots; j-data undefined$"):
+            same_j_data(*pair)
+    else:
+        assert same_j_data(*pair) is expected
+
+
+@DIFFERENTIAL
+@given(quintics_of_each_height(), st.integers(0, 5), st.booleans())
+def test_same_j_data_rejects_symbolic_quintics(form, i, swap):
+    coeffs = list(form.coeffs)
+    coeffs[i] = MPoly.variable("t")
+    symbolic = BinaryForm(coeffs)
+    # t may leave J, K, L constant, as on t * x2**5
+    iv = quintic_invariants(symbolic)
+    assume(any(isinstance(x, MPoly) for x in (iv.J, iv.K, iv.L)))
+    pair = (form, symbolic)
+    with pytest.raises(TypeError,
+                       match="^closed-form route needs a numeric quintic$"):
+        same_j_data(*(pair[::-1] if swap else pair))
 
 
 @lru_cache
