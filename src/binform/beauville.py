@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .forms import (BinaryForm, GroupElement, _over, act, resultant,
                     weight_of)
@@ -26,14 +26,14 @@ from .invariants import (
     monomial_basis,
     quartic_S,
     quartic_T,
-    quintic_invariants,
     _scaled_invariants,
     sylvester_invariants,
     sylvester_specialize,
     SylvesterPoint,
 )
 from .mpoly import (_BITS, _MASK, MPoly, _addmul, _as_exact, _as_fraction,
-                    _int_exponent, _monomials, _rehomogenize, monic_divrem)
+                    _cleared, _int_exponent, _monomials, _rehomogenize,
+                    monic_divrem)
 
 __all__ = [
     "JKLPolynomial",
@@ -420,11 +420,8 @@ def beauville_closed_form(quintic: BinaryForm) -> BeauvilleVector:
 
 def _closed_form_sums(quintic: BinaryForm) -> tuple:
     """The six dot products S_i of ``beauville_closed_form``, and q**6."""
-    _require_order(quintic, 5, "beauville_closed_form")
-    J, K, L = (_as_exact(_over(n, d))    # a constant MPoly as a Fraction
-               for n, d in islice(_scaled_invariants(quintic), 3))
-    if any(isinstance(x, MPoly) for x in (J, K, L)):
-        raise TypeError("closed-form route needs a numeric quintic")
+    J, K, L, _ = _numeric_jkl(quintic, "beauville_closed_form",
+                              "closed-form route needs a numeric quintic")
     q = J.denominator
     q *= K.denominator // gcd(K.denominator, q * q)
     q *= L.denominator // gcd(L.denominator, q ** 3)
@@ -437,15 +434,26 @@ def _closed_form_sums(quintic: BinaryForm) -> tuple:
              for _, table in _INT_TABLES], q3 * q3)
 
 
+def _numeric_jkl(quintic: BinaryForm, what: str, message: str) -> tuple:
+    """J, K, L of a quintic as Fractions, then the rest of its
+    ``_scaled_invariants`` (H's pair, when asked).  Errors name the route
+    ``what``, or raise TypeError(message) when J, K or L is not a number."""
+    _require_order(quintic, 5, what)
+    chain = _scaled_invariants(quintic)
+    jkl = [_as_exact(_over(n, d))    # a constant MPoly as a Fraction
+           for n, d in islice(chain, 3)]
+    if any(isinstance(x, MPoly) for x in jkl):
+        raise TypeError(message)
+    return (*jkl, chain)
+
+
 def _int_table(table: JKLPolynomial) -> tuple:
     """A degree-24 table as its rational content and the int coefficients
     of table / content, as (index in the basis, coefficient) pairs for the
     nonzero ones."""
-    values = table.terms.values()
-    content = Fraction(gcd(*(c.numerator for c in values)),
-                       lcm(*(c.denominator for c in values)))
-    return content, tuple((i, int(table.terms[t] / content))
-                          for i, t in enumerate(_BASIS_24) if t in table.terms)
+    ints, d = _cleared(table.terms.get(t, 0) for t in _BASIS_24)
+    g = gcd(*ints)
+    return Fraction(g, d), tuple((i, c // g) for i, c in enumerate(ints) if c)
 
 
 _BASIS_24 = tuple(monomial_basis(24))
@@ -568,10 +576,7 @@ def _row_reduce(matrix, columns):
     divided by their pivots, at the end: scaling rows leaves the reduced
     echelon form, which is unique, unchanged.
     """
-    rows = []
-    for row in matrix:
-        m = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (m // x.denominator) for x in row])
+    rows = [_cleared(row)[0] for row in matrix]
     pivots = []
     for col in range(columns):
         r = len(pivots)
@@ -717,15 +722,6 @@ def thm48_decompose(alpha):
 # equivalence and five-point data
 # ---------------------------------------------------------------------------
 
-def _numeric_invariants(form: BinaryForm, what: str) -> InvariantVector:
-    _require_order(form, 5, what)
-    vector = quintic_invariants(form)
-    if any(isinstance(getattr(vector, n), MPoly)
-           for n in ("J", "K", "L", "H", "Disc")):
-        raise TypeError(f"{what} needs numeric quintics")
-    return vector
-
-
 def _exact_sqrt(value: Fraction):
     if value < 0:
         return None
@@ -755,16 +751,17 @@ def equivalence_witness(first: BinaryForm, second: BinaryForm) -> dict:
     the sign of s: when J pins r with a rational square root rho, the
     witness s is the one of rho, -rho with H2 = s^9 H1.  J or K always
     pins: Disc = 3125 (J^2 - 128 K) is nonzero in a stable form, so J and
-    K never both vanish.
+    K never both vanish.  H is computed only when it is read.
     """
-    v1 = _numeric_invariants(first, "equivalence_witness")
-    v2 = _numeric_invariants(second, "equivalence_witness")
-    if v1.Disc == 0 or v2.Disc == 0:
+    *v1, rest1 = _numeric_jkl(first, "equivalence_witness",
+                              "equivalence_witness needs numeric quintics")
+    *v2, rest2 = _numeric_jkl(second, "equivalence_witness",
+                              "equivalence_witness needs numeric quintics")
+    if any(J * J == 128 * K for J, K, _ in (v1, v2)):
         raise ValueError("unstable form")
 
     pinned = None       # name of the pinning invariant, of degree dx
-    for name in ("J", "K", "L"):
-        x1, x2 = getattr(v1, name), getattr(v2, name)
+    for name, x1, x2 in zip("JKL", v1, v2):
         d = InvariantVector.DEGREES[name]
         if pinned is None:
             ok = (x1 == 0) == (x2 == 0)
@@ -784,7 +781,8 @@ def equivalence_witness(first: BinaryForm, second: BinaryForm) -> dict:
                _WITNESS_KEYS[dx // 2]: str(r)}
     root = _exact_sqrt(r) if pinned == "J" else None
     if root is not None:
-        witness["s"] = str(root if v2.H == root ** 9 * v1.H else -root)
+        h1, h2 = (_as_exact(_over(*next(rest))) for rest in (rest1, rest2))
+        witness["s"] = str(root if h2 == root ** 9 * h1 else -root)
     return witness
 
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm, perm
+from math import comb, factorial, perm
 from typing import Sequence
 
 from .mpoly import (_BITS, MPoly, Scalar, _addmul, _as_exact, _as_fraction,
-                    _check_degree, _monomials, _remap_terms, _scaled,
+                    _check_degree, _cleared, _int_terms, _monomials,
                     det_fraction_free)
 
 __all__ = [
@@ -149,11 +149,15 @@ class BinaryForm:
     __rmul__ = __mul__
 
     def __add__(self, other: "BinaryForm") -> "BinaryForm":
+        if not isinstance(other, BinaryForm):
+            return NotImplemented
         if self.order != other.order:
             raise ValueError("cannot add forms of different orders")
         return BinaryForm([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "BinaryForm") -> "BinaryForm":
+        if not isinstance(other, BinaryForm):
+            return NotImplemented
         if self.order != other.order:
             raise ValueError("cannot subtract forms of different orders")
         return BinaryForm([a - b for a, b in zip(self.coeffs, other.coeffs)])
@@ -241,8 +245,8 @@ def _transvectant_weights(p: int, q: int, k: int) -> tuple:
                          * perm(q - l, j) * perm(l, k - j) for j in range(k + 1))
             if weight:
                 out.append((i, l, weight * pref))
-    den = lcm(*(w.denominator for _, _, w in out))
-    return tuple((i, l, int(w * den)) for i, l, w in out), den
+    ints, den = _cleared(w for _, _, w in out)
+    return tuple((i, l, w) for (i, l, _), w in zip(out, ints)), den
 
 
 def sylvester_matrix(f: BinaryForm, g: BinaryForm) -> list:
@@ -308,8 +312,8 @@ def resultant(f: BinaryForm, g: BinaryForm) -> MPoly:
         sign = (-1) ** (p * q)
     vs = tuple(sorted({v for c in f.coeffs + g.coeffs
                        if isinstance(c, MPoly) for v in c.variables}))
-    a, da = _int_coefficients(f.coeffs, vs)
-    b, db = _int_coefficients(g.coeffs, vs)
+    a, da = _int_terms(f.coeffs, vs)
+    b, db = _int_terms(g.coeffs, vs)
     dsh = len(vs) * _BITS
     _check_degree(max((k >> dsh for e in a for k in e), default=0)
                   + max((k >> dsh for e in b for k in e), default=0))
@@ -337,18 +341,6 @@ def _require_forms(what: str, *forms) -> None:
         if not isinstance(form, BinaryForm):
             raise TypeError(
                 f"{what} needs a BinaryForm, got {type(form).__name__}")
-
-
-def _int_coefficients(coeffs: Sequence, vs: tuple) -> tuple:
-    """The coefficients, Fractions or MPolys over part of the universe vs,
-    as new int term dicts over vs times their common denominator d, and
-    d."""
-    d = lcm(*(c._den if isinstance(c, MPoly) else c.denominator
-              for c in coeffs))
-    return [_scaled(_remap_terms(c._terms, c._vars, vs), d // c._den)
-            if isinstance(c, MPoly)
-            else {0: c.numerator * (d // c.denominator)} if c else {}
-            for c in coeffs], d
 
 
 def discriminant(form: BinaryForm) -> MPoly:

@@ -19,12 +19,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import islice
-from math import lcm
 from typing import Iterator, NamedTuple
 
 from .forms import (BinaryForm, _over, _require_forms, _transvectant_sum,
                     discriminant, transvectant)
-from .mpoly import MPoly, _as_exact
+from .mpoly import MPoly, _as_exact, _cleared
 
 __all__ = [
     "QuarticInvariants",
@@ -188,8 +187,7 @@ def _scaled_covariants(quintic: BinaryForm) -> Iterator[tuple]:
     """
     f, m = quintic.coeffs, 1
     if not any(isinstance(c, MPoly) for c in f):
-        m = lcm(*(c.denominator for c in f))
-        f = [c.numerator * (m // c.denominator) for c in f]
+        f, m = _cleared(f)
     first = _scaled_transvectant((f, m), (f, m), 4)
     second = _scaled_transvectant((f, m), first, 2)
     yield from (first, second, _scaled_transvectant(second, second, 2))
@@ -213,7 +211,7 @@ class InvariantVector:
     """The fundamental quintic invariants J, K, L, H plus the discriminant.
 
     Degrees are (4, 8, 12, 18) and weights (10, 20, 30, 45); the discriminant
-    has degree 8 and weight 20 and satisfies Disc = 5**5 * (J**2 - 128*K).
+    has degree 8 and weight 20 and is computed as Disc = 5**5 * (J**2 - 128*K).
     The four generators are linked by the exact degree-36 relation
 
         16*H**2 = -432*L**3 - 72*L**2*K*J + 8*L*K**3
@@ -224,14 +222,12 @@ class InvariantVector:
 
     DEGREES = {"J": 4, "K": 8, "L": 12, "H": 18, "Disc": 8}
 
-    def __init__(self, J, K, L, H, Disc=None):
+    def __init__(self, J, K, L, H):
         self.J = _as_exact(J)
         self.K = _as_exact(K)
         self.L = _as_exact(L)
         self.H = _as_exact(H)
-        if Disc is None:
-            Disc = 3125 * (self.J * self.J - 128 * self.K)
-        self.Disc = _as_exact(Disc)
+        self.Disc = _as_exact(3125 * (self.J * self.J - 128 * self.K))
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}

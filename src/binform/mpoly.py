@@ -99,31 +99,60 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def _cleared(values) -> tuple:
+    """Ints or Fractions as ints over the lcm d of their denominators, and
+    d; anything else raises TypeError, as in ``_as_fraction``."""
+    values = [x if type(x) is int else _as_fraction(x) for x in values]
+    d = lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def _int_terms(entries: Sequence, vs: tuple) -> tuple:
+    """Numbers and MPolys over part of the sorted universe vs, as new int
+    term dicts over vs times the lcm d of their denominators, and d: a
+    number n becomes {0: n d}, and a zero {}.  Anything else raises
+    TypeError, as in ``_as_fraction``."""
+    entries = [e if type(e) is int or isinstance(e, MPoly)
+               else _as_fraction(e) for e in entries]
+    d = lcm(*(e._den if isinstance(e, MPoly) else e.denominator
+              for e in entries))
+    return [_scaled(_remap_terms(e._terms, e._vars, vs), d // e._den)
+            if isinstance(e, MPoly)
+            else {0: e.numerator * (d // e.denominator)} if e else {}
+            for e in entries], d
+
+
 class MPoly:
     """A sparse multivariate polynomial over the rationals."""
 
     __slots__ = ("_vars", "_terms", "_den", "_n")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping):
-        vs = tuple(variables)
-        if list(vs) != sorted(vs) or len(set(vs)) != len(vs):
-            raise ValueError("variable universe must be sorted and duplicate-free")
+    def __init__(self, variables: Sequence[str],
+                 terms: Mapping[tuple, Scalar]):
+        """Terms map exponent vectors, in the order of ``variables``, to
+        ints or Fractions; the stored universe is sorted."""
+        names = tuple(variables)
+        vs = tuple(sorted(names))
         n = len(vs)
-        for k in terms:
-            # a key packs an exponent vector: its degree field, above the
-            # n exponent fields, is their sum
-            if isinstance(k, bool) or not isinstance(k, int):
-                raise TypeError(f"term key {k!r} is not an int")
-            degree = k >> (n * _BITS)
-            if k < 0 or degree != sum((k >> (i * _BITS)) & _MASK
-                                      for i in range(n)):
-                raise ValueError(f"term key {k} does not pack an exponent "
-                                 f"vector over {vs}")
+        if len(set(vs)) != n:
+            raise ValueError("variable universe must be duplicate-free")
+        # each given name's field in the packing over the sorted universe
+        shifts = [(n - 1 - vs.index(v)) * _BITS for v in names]
+        keys = []
+        for exps in terms:
+            if not isinstance(exps, tuple):
+                raise TypeError(f"term key {exps!r} is not an exponent vector")
+            if len(exps) != n:
+                raise ValueError("exponent vector length mismatch")
+            if any(_int_exponent(e) < 0 for e in exps):
+                raise ValueError("negative exponent")
+            degree = sum(exps)
             _check_degree(degree)
-        values = [_as_fraction(c) for c in terms.values()]
-        den = lcm(*(c.denominator for c in values))
-        self._set(vs, {k: c.numerator * (den // c.denominator)
-                       for k, c in zip(terms, values)}, den)
+            keys.append(sum(e << sh for e, sh in zip(exps, shifts))
+                        + (degree << (n * _BITS)))
+        ints, den = _cleared(terms.values())
+        # distinct vectors pack to distinct keys
+        self._set(vs, dict(zip(keys, ints)), den)
 
     def _set(self, vs: tuple, terms: dict, den: int) -> "MPoly":
         # the canonical form: zero terms pruned, gcd(den, content) divided out
@@ -149,35 +178,18 @@ class MPoly:
 
     @classmethod
     def zero(cls, variables: Sequence[str] = ()) -> "MPoly":
-        return cls(sorted(variables), {})
+        return cls(variables, {})
 
     @classmethod
     def constant(cls, value: Scalar, variables: Sequence[str] = ()) -> "MPoly":
-        return cls(sorted(variables), {0: value})
+        vs = tuple(variables)
+        return cls(vs, {(0,) * len(vs): value})
 
     @classmethod
     def variable(cls, name: str) -> "MPoly":
         if not re.fullmatch(r"[A-Za-z_]\w*", name):
             raise ValueError(f"bad variable name: {name!r}")
         return cls._make((name,), {(1 << _BITS) | 1: 1})
-
-    @classmethod
-    def from_terms(cls, variables: Sequence[str],
-                   terms: Mapping[tuple, Scalar]) -> "MPoly":
-        vs = tuple(sorted(variables))
-        n = len(vs)
-        out: dict = {}
-        for exps, c in terms.items():
-            if len(exps) != n:
-                raise ValueError("exponent vector length mismatch")
-            if any(_int_exponent(e) < 0 for e in exps):
-                raise ValueError("negative exponent")
-            _check_degree(sum(exps))
-            key = sum(exps) << (n * _BITS)
-            for i, e in enumerate(exps):
-                key |= e << ((n - 1 - i) * _BITS)
-            out[key] = out.get(key, 0) + _as_fraction(c)
-        return cls(vs, out)
 
     # -- introspection -----------------------------------------------------
 
@@ -467,7 +479,7 @@ def _coerce(x):
     if isinstance(x, MPoly):
         return x
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        return MPoly.constant(x)
+        return MPoly._make((), {0: x.numerator}, x.denominator)
     return NotImplemented
 
 
@@ -651,17 +663,15 @@ def det_fraction_free(rows: Sequence[Sequence]) -> MPoly:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square or ragged matrix")
-    rows = [[e if isinstance(e, MPoly) else MPoly.constant(e) for e in row]
-            for row in rows]
-    vs = tuple(sorted(set().union(*(e._vars for row in rows for e in row))))
+    vs = tuple(sorted(set().union(*(e._vars for row in rows for e in row
+                                    if isinstance(e, MPoly)))))
     nv = len(vs)
     grid = []
     scale = 1
     for row in rows:
-        m = lcm(*(e._den for e in row))
+        terms, m = _int_terms(row, vs)
         scale *= m
-        grid.append([_scaled(_remap_terms(e._terms, e._vars, vs), m // e._den)
-                     for e in row])
+        grid.append(terms)
     if nv < 2:
         return MPoly._make(vs, _expand_minors(grid, nv * _BITS), scale)
     columns = list(zip(*grid))

@@ -129,7 +129,7 @@ wide = st.integers(2 ** 64, 2 ** 100).flatmap(
 
 
 def term(names, exps, c):
-    return MPoly.from_terms(names, {tuple(exps[v] for v in names): c})
+    return MPoly(names, {tuple(exps[v] for v in names): c})
 
 
 @st.composite
@@ -301,8 +301,7 @@ def polynomials(draw, names, max_terms):
     for _ in range(draw(st.integers(0, max_terms))):
         c = draw(rationals)
         exps = {v: draw(st.integers(0, 3)) for v in names}
-        out = out + MPoly.from_terms(
-            names, {tuple(exps[v] for v in sorted(names)): c})
+        out = out + MPoly(names, {tuple(exps[v] for v in names): c})
     return out
 
 

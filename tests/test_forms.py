@@ -157,6 +157,14 @@ class TestBinaryForm:
                 match="^cannot subtract forms of different orders$"):
             f - g
 
+    @pytest.mark.parametrize("other", [[1, 2], 3], ids=["list", "int"])
+    def test_sum_and_difference_need_a_form(self, other):
+        f = BinaryForm([1, 2])
+        with pytest.raises(TypeError, match="^unsupported operand type"):
+            f + other
+        with pytest.raises(TypeError, match="^unsupported operand type"):
+            f - other
+
     def test_partials_of_a_constant_are_zero(self):
         for partial in (BinaryForm([7]).diff_x1(), BinaryForm([7]).diff_x2()):
             assert partial.order == 0

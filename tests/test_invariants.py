@@ -323,7 +323,7 @@ class TestRelation:
     def test_tamper_detected(self):
         vector = quintic_invariants(BinaryForm([1, 2, 0, -1, 3, 1]))
         tampered = InvariantVector(vector.J, vector.K, vector.L,
-                                   vector.H + 1, vector.Disc)
+                                   vector.H + 1)
         assert verify_relation(vector)
         assert not verify_relation(tampered)
 
