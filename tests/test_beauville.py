@@ -24,8 +24,8 @@ from binform.beauville import (
     verify_keyprop,
 )
 from binform.forms import (BinaryForm, GroupElement, act, discriminant,
-                           generic_form, resultant, sylvester_matrix,
-                           transvectant)
+                           form_from_roots, generic_form, resultant,
+                           sylvester_matrix, transvectant)
 from binform.invariants import (
     SylvesterPoint,
     canonizant,
@@ -167,7 +167,6 @@ class TestQuarticOfRoot:
     def test_numeric_root_removal(self):
         # F = (x-1)(x-2)(x-3)(x-4)(x-5): at lam = 2 the quartic has the
         # other four roots
-        from binform.forms import form_from_roots
         tail = [Fraction(c) for c in (-15, 85, -225, 274, -120)]
         quartic = quartic_of_root(tail[:4], Fraction(2))
         expected = form_from_roots([(1, 1), (3, 1), (4, 1), (5, 1)])
@@ -265,6 +264,61 @@ class TestNumericPipeline:
         assert (beauville_closed_form(form)
                 == beauville_closed_form(fifth_powers))
         assert same_j_data(form, fifth_powers)
+
+
+def _pinned_outputs() -> str:
+    """The numeric pipeline's vector and trace on 120 seeded quintics at
+    three heights (a0 = 0 in one in five, so the shear runs), two fivefold
+    roots and a double root, then ``act`` on 30 seeded pairs with a
+    rational g of det g != +-1, every third form with a coefficient in t:
+    each value with its type, as one text."""
+    rng = random.Random(20)
+    heights = (lambda: rng.randint(-8, 8),
+               lambda: rng.randint(-2 ** 20, 2 ** 20),
+               lambda: Fraction(rng.randint(-2 ** 64, 2 ** 64),
+                                rng.randint(1, 2 ** 16)))
+    quintics = []
+    for draw in heights:
+        for i in range(40):
+            coeffs = [draw() for _ in range(6)]
+            if i % 5 == 0:
+                coeffs[0] = 0
+            if any(coeffs):
+                quintics.append(BinaryForm(coeffs))
+    quintics += [BinaryForm([1, 0, 0, 0, 0, 0]),
+                 BinaryForm([1, 5, 10, 10, 5, 1]),
+                 form_from_roots([(1, 1), (1, 1), (-2, 1), (3, 2), (0, 1)])]
+    lines = []
+    for form in quintics:
+        vector, trace = beauville_pipeline(form)
+        lines.append(" ".join(f"{type(b).__name__}:{b}" for b in vector.b))
+        for poly in (trace.phi, trace.phi_bar, trace.r_bar):
+            lines.append(format_poly(poly))
+            lines.append(" ".join(type(c).__name__ for _, c in poly.terms()))
+    t = MPoly.variable("t")
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    for i in range(30):
+        while True:
+            g = [rational() for _ in range(4)]
+            det = g[0] * g[3] - g[1] * g[2]
+            if det and abs(det) != 1:
+                break
+        coeffs = [rational() for _ in range(rng.randint(1, 7))]
+        if i % 3 == 0:
+            coeffs[rng.randrange(len(coeffs))] += rational() * t + 2
+        out = act(GroupElement(*g), BinaryForm(coeffs))
+        lines.append(" ".join(f"{type(c).__name__}:{c}" for c in out.coeffs))
+    return "\n".join(lines)
+
+
+def test_numeric_outputs_are_pinned_by_digest():
+    # the digest of _pinned_outputs as the Fraction and MPoly-operation
+    # routes of build_phi, act and the six entries computed it
+    assert hashlib.sha256(_pinned_outputs().encode()).hexdigest() \
+        == "089766916e5218841527261c47abbdf3183c5682c7e75b762e55958ae374488c"
 
 
 class TestSymbolicPipeline:
