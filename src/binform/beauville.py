@@ -24,16 +24,15 @@ from .invariants import (
     InvariantVector,
     _require_order,
     monomial_basis,
-    quartic_S,
-    quartic_T,
     _scaled_invariants,
+    _scaled_quartic,
     sylvester_invariants,
     sylvester_specialize,
     SylvesterPoint,
 )
 from .mpoly import (_BITS, _MASK, MPoly, _addmul, _as_exact, _as_fraction,
-                    _cleared, _int_exponent, _monomials, _rehomogenize,
-                    monic_divrem)
+                    _check_degree, _cleared, _int_exponent, _max_degree,
+                    _monomials, _rehomogenize, _remap_terms, monic_divrem)
 
 __all__ = [
     "JKLPolynomial",
@@ -308,12 +307,24 @@ def build_phi(quartic: BinaryForm, z: str = "z") -> MPoly:
     With the companion quartic of a root plugged in, this has degree at most
     12 in lam and encodes the normalized j-invariant of the root's four-point
     configuration as its z-root.
+
+    It is built on the int term dicts s = 12 d^2 S and t = 432 d^3 T of
+    ``invariants._scaled_quartic`` and wrapped once: S^3 = 4 s^3 / (6912
+    d^6) and 27 T^2 = t^2 / (6912 d^6), so phi is ((4 s^3 - t^2) z
+    - 4 s^3) / (6912 d^6).  Constant S and T, which ``quartic_S`` and
+    ``quartic_T`` give as numbers, leave z alone in phi's universe.
     """
-    s = quartic_S(quartic)
-    t = quartic_T(quartic)
-    s_cubed = s ** 3
-    zvar = MPoly.variable(z)
-    return (s_cubed - 27 * t ** 2) * zvar - s_cubed
+    _require_order(quartic, 4, "build_phi")
+    (vs, d), s, t = _scaled_quartic(quartic)
+    _check_degree(max(3 * _max_degree((s,), vs), 2 * _max_degree((t,), vs))
+                  + 1)
+    universe = tuple(sorted({*vs, z})) if (set(s) | set(t)) - {0} else (z,)
+    s, t = (_remap_terms(x, vs, universe) for x in (s, t))
+    s3 = _addmul({}, s, _addmul({}, s, s), 4)
+    phi = _addmul({k: -c for k, c in s3.items()},
+                  MPoly.variable(z).in_universe(universe)._terms,
+                  _addmul(dict(s3), t, t, -1))
+    return MPoly._make(universe, phi, 6912 * d ** 6)
 
 
 def _core_pipeline(tail) -> TschirnhausTrace:
@@ -373,10 +384,11 @@ def beauville_pipeline(quintic: BinaryForm):
         lead = working[0]
         tail = [v / lead for v in working[1:]]
         trace = _core_pipeline(tail)
-        scale = lead ** 24
-        entries = [scale * c.constant_value()
-                   for c in _split(trace.r_bar, "z", 5)]
-        return BeauvilleVector(entries), trace
+        ints, den = trace.r_bar._dense_ints(5)
+        den *= lead.denominator ** 24
+        scale = lead.numerator ** 24
+        return BeauvilleVector([Fraction(c * scale, den)
+                                for c in ints]), trace
 
     names = [_symbol_name(c) for c in quintic.coeffs]
     lead_name = names[0]
@@ -484,8 +496,7 @@ def decompose_in_JKL(invariant_poly: MPoly, degree: int) -> JKLPolynomial:
         raise ValueError(f"unexpected variables: {sorted(extra)}")
     if degree <= 0 or degree % 4:
         raise ValueError("degree must be a positive multiple of 4")
-    dsh = len(invariant_poly.variables) * _BITS
-    if any(key >> dsh != degree for key in invariant_poly._terms):
+    if not invariant_poly._is_homogeneous(degree):
         raise ValueError(f"input is not homogeneous of degree {degree}")
     _require_invariant(invariant_poly, degree)
 

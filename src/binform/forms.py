@@ -15,9 +15,9 @@ from functools import lru_cache
 from math import comb, factorial, perm
 from typing import Sequence
 
-from .mpoly import (_BITS, MPoly, Scalar, _addmul, _as_exact, _as_fraction,
-                    _check_degree, _cleared, _int_terms, _monomials,
-                    det_fraction_free)
+from .mpoly import (MPoly, Scalar, _addmul, _as_exact, _as_fraction,
+                    _check_degree, _cleared, _int_terms, _max_degree,
+                    _monomials, _universe, det_fraction_free)
 
 __all__ = [
     "BinaryForm", "GroupElement",
@@ -136,14 +136,7 @@ class BinaryForm:
 
     def __mul__(self, other):
         if isinstance(other, BinaryForm):
-            p, q = self.order, other.order
-            out = [0] * (p + q + 1)
-            for i, ci in enumerate(self.coeffs):
-                if not ci:
-                    continue
-                for j, cj in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + ci * cj
-            return BinaryForm(out)
+            return BinaryForm(_convolve(self.coeffs, other.coeffs))
         return BinaryForm([c * other for c in self.coeffs])
 
     __rmul__ = __mul__
@@ -178,15 +171,43 @@ class BinaryForm:
 def act(g: GroupElement, form: BinaryForm) -> BinaryForm:
     """The substitution action (g.F)(x) = F(g^-1 x): with h = g^-1, the sum
     of c_i X1^(p-i) X2^i over the linear forms X1 = h.a x1 + h.b x2 and
-    X2 = h.c x1 + h.d x2."""
+    X2 = h.c x1 + h.d x2.
+
+    It runs on ints: h's entries go over their common denominator m and
+    the c_i, numbers or MPolys, over theirs, e, as int term dicts.  The
+    images of X1^(p-i) X2^i are then int coefficient lists over m^p, and
+    each output coefficient, a sum of int multiples of the c_i, is divided
+    once by e m^p.
+    """
     _require_forms("act", form)
     h = g.inverse()
+    (ha, hb, hc, hd), m = _cleared((h.a, h.b, h.c, h.d))
+    vs = _universe(form.coeffs)
+    coeffs, e = _int_terms(form.coeffs, vs)
     p = form.order
     images = _monomials([(p - i, i) for i in range(p + 1)],
-                        (BinaryForm([h.a, h.b]), BinaryForm([h.c, h.d])),
-                        BinaryForm([1]))
-    return sum((image * c for c, image in zip(form.coeffs, images)),
-               BinaryForm([0] * (p + 1)))
+                        ([ha, hb], [hc, hd]), [1], _convolve)
+    out = [{} for _ in range(p + 1)]
+    for c, image in zip(coeffs, images):
+        for acc, w in zip(out, image):
+            if w:
+                _addmul(acc, _ONE, c, w)
+    return BinaryForm([MPoly._make(vs, acc, e * m ** p) for acc in out])
+
+
+_ONE = {0: 1}   # the int term dict of 1 in every universe
+
+
+def _convolve(a: Sequence, b: Sequence) -> list:
+    """The coefficient list of the product of the forms with coefficient
+    lists a and b; any ring elements with ``+`` and ``*`` will do."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j, bj in enumerate(b):
+            out[i + j] = out[i + j] + ai * bj
+    return out
 
 
 def transvectant(f: BinaryForm, g: BinaryForm, k: int) -> BinaryForm:
@@ -295,12 +316,10 @@ def resultant(f: BinaryForm, g: BinaryForm) -> MPoly:
     The matrix is built on int term dicts in one universe, by the product
     kernel, with no MPoly arithmetic: f's coefficients go over their
     common denominator da and g's over db, so the recurrence runs on the
-    ints of da f and db g.  Each entry is then wrapped once, a Bezout-row
-    entry over da db and a G-row entry over db.  The resultant is
-    homogeneous of degree q in f's coefficients and p in g's, so the int
-    matrix has determinant da^q db^p Res(f, g), and its q Bezout rows over
-    da db and p - q G rows over db divide out exactly that: the
-    determinant of the wrapped rows is already Res(f, g).
+    ints of da f and db g.  Each entry is wrapped over 1, and the
+    determinant is divided once: the resultant is homogeneous of degree q
+    in f's coefficients and p in g's, so the int matrix has determinant
+    da^q db^p Res(f, g).
     """
     _require_forms("resultant", f, g)
     p, q = f.order, g.order
@@ -310,13 +329,10 @@ def resultant(f: BinaryForm, g: BinaryForm) -> MPoly:
     if p < q:
         f, g, p, q = g, f, q, p
         sign = (-1) ** (p * q)
-    vs = tuple(sorted({v for c in f.coeffs + g.coeffs
-                       if isinstance(c, MPoly) for v in c.variables}))
+    vs = _universe(f.coeffs + g.coeffs)
     a, da = _int_terms(f.coeffs, vs)
     b, db = _int_terms(g.coeffs, vs)
-    dsh = len(vs) * _BITS
-    _check_degree(max((k >> dsh for e in a for k in e), default=0)
-                  + max((k >> dsh for e in b for k in e), default=0))
+    _check_degree(_max_degree(a, vs) + _max_degree(b, vs))
     bezout = []
     row = [{}] * p
     for k in range(q):
@@ -328,12 +344,10 @@ def resultant(f: BinaryForm, g: BinaryForm) -> MPoly:
             nxt.append(_addmul(entry, b[k], a[c + 1], -1))
         row = nxt
         bezout.append(row)
-    rows = [[MPoly._make(vs, e, da * db) for e in row]
-            for row in reversed(bezout)]
-    g_row = [MPoly._make(vs, e, db) for e in b]
+    rows = [[MPoly._make(vs, e) for e in row] for row in reversed(bezout)]
+    g_row = [MPoly._make(vs, e) for e in b]
     rows += [[0] * j + g_row + [0] * (p - q - 1 - j) for j in range(p - q)]
-    det = det_fraction_free(rows)
-    return det if sign == 1 else -det
+    return det_fraction_free(rows) / (sign * da ** q * db ** p)
 
 
 def _require_forms(what: str, *forms) -> None:

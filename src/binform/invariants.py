@@ -23,7 +23,8 @@ from typing import Iterator, NamedTuple
 
 from .forms import (BinaryForm, _over, _require_forms, _transvectant_sum,
                     discriminant, transvectant)
-from .mpoly import MPoly, _as_exact, _cleared
+from .mpoly import (MPoly, _addmul, _as_exact, _check_degree, _cleared,
+                    _int_terms, _max_degree, _universe)
 
 __all__ = [
     "QuarticInvariants",
@@ -98,8 +99,8 @@ def quartic_S(quartic: BinaryForm):
     same value by differentiation and is kept as an independent cross-check.
     """
     _require_order(quartic, 4, "quartic_S")
-    q0, q1, q2, q3, q4 = quartic.binomial_coeffs()
-    return _as_exact(q0 * q4 - 4 * (q1 * q3) + 3 * (q2 * q2))
+    (vs, d), s = islice(_scaled_quartic(quartic), 2)
+    return _as_exact(MPoly._make(vs, s, 12 * d * d))
 
 
 def quartic_S_transvectant(quartic: BinaryForm):
@@ -114,9 +115,36 @@ def quartic_T(quartic: BinaryForm):
     q0*q2*q4 + 2*q1*q2*q3 - q2**3 - q0*q3**2 - q1**2*q4.
     """
     _require_order(quartic, 4, "quartic_T")
-    q0, q1, q2, q3, q4 = quartic.binomial_coeffs()
-    return _as_exact(q0 * q2 * q4 + 2 * (q1 * q2 * q3)
-                     - q2 ** 3 - q0 * q3 ** 2 - q1 ** 2 * q4)
+    (vs, d), _, t = _scaled_quartic(quartic)
+    return _as_exact(MPoly._make(vs, t, 432 * d ** 3))
+
+
+def _scaled_quartic(quartic: BinaryForm) -> Iterator:
+    """The sorted universe vs of a quartic's coefficients and the lcm d of
+    their denominators, then s = 12 d**2 S and t = 432 d**3 T as int term
+    dicts over vs, lazily: S needs no T.
+
+    On the plain coefficients c_i = n_i / d, 12 S = 12 c0 c4 - 3 c1 c3
+    + c2**2 and 432 T = c2 (72 c0 c4 + 9 c1 c3 - 2 c2**2)
+    - 27 (c0 c3**2 + c1**2 c4), so the same sums of the int term dicts n_i
+    give s and t.  Each product's degree is checked as ``MPoly.__mul__``
+    checks it.
+    """
+    vs = _universe(quartic.coeffs)
+    n, d = _int_terms(quartic.coeffs, vs)
+    yield vs, d
+    n0, n1, n2, n3, n4 = n
+    e0, e1, e2, e3, e4 = (_max_degree((c,), vs) for c in n)
+    _check_degree(max(e0 + e4, e1 + e3, 2 * e2))
+    s = _addmul(_addmul(_addmul({}, n0, n4, 12), n1, n3, -3), n2, n2)
+    yield {k: c for k, c in s.items() if c}
+    _check_degree(max(e0 + e2 + e4, e1 + e2 + e3, 3 * e2, e0 + 2 * e3,
+                      2 * e1 + e4))
+    inner = _addmul(_addmul(_addmul({}, n0, n4, 72), n1, n3, 9), n2, n2, -2)
+    t = _addmul({}, n2, inner)
+    _addmul(t, n0, _addmul({}, n3, n3), -27)
+    _addmul(t, n4, _addmul({}, n1, n1), -27)
+    yield {k: c for k, c in t.items() if c}
 
 
 def quartic_T_transvectant(quartic: BinaryForm):

@@ -67,6 +67,13 @@ def _addmul(acc: dict, f: dict, g: dict, sign: int = 1) -> dict:
     return acc
 
 
+def _max_degree(entries, vs: tuple) -> int:
+    """The largest total degree of a term of the int term dicts over the
+    universe vs, -1 when they have no term: keys order by degree first."""
+    dsh = len(vs) * _BITS
+    return max((max(e) >> dsh for e in entries if e), default=-1)
+
+
 def _scaled(terms: dict, s: int) -> dict:
     """A new dict of the int terms times the int s."""
     return dict(terms) if s == 1 else {k: c * s for k, c in terms.items()}
@@ -105,6 +112,12 @@ def _cleared(values) -> tuple:
     values = [x if type(x) is int else _as_fraction(x) for x in values]
     d = lcm(*(x.denominator for x in values))
     return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def _universe(entries) -> tuple:
+    """The sorted union of the universes of the MPolys among entries."""
+    return tuple(sorted({v for e in entries if isinstance(e, MPoly)
+                         for v in e._vars}))
 
 
 def _int_terms(entries: Sequence, vs: tuple) -> tuple:
@@ -254,6 +267,21 @@ class MPoly:
         if 0 <= power < len(split):
             return split[power]
         return MPoly.zero(v for v in self._vars if v != var)
+
+    def _is_homogeneous(self, degree: int) -> bool:
+        """Whether every term has total degree ``degree``."""
+        dsh = self._n * _BITS
+        return all(k >> dsh == degree for k in self._terms)
+
+    def _dense_ints(self, degree: int) -> tuple:
+        """The stored ints of the coefficients of x**degree, ..., x**0 in a
+        polynomial in its one variable x, and the denominator they are
+        over; terms above x**degree are not read."""
+        if self._n != 1:
+            raise ValueError("not a polynomial in one variable")
+        unit = (1 << _BITS) | 1     # x in its field and in the degree field
+        return ([self._terms.get(e * unit, 0) for e in range(degree, -1, -1)],
+                self._den)
 
     def constant_value(self) -> Fraction:
         if not self._terms:
@@ -663,8 +691,7 @@ def det_fraction_free(rows: Sequence[Sequence]) -> MPoly:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square or ragged matrix")
-    vs = tuple(sorted(set().union(*(e._vars for row in rows for e in row
-                                    if isinstance(e, MPoly)))))
+    vs = _universe(e for row in rows for e in row)
     nv = len(vs)
     grid = []
     scale = 1

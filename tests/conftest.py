@@ -12,6 +12,8 @@ import io
 import json
 import time
 
+from fractions import Fraction
+
 import pytest
 
 from binform import beauville_pipeline, generic_form
@@ -92,3 +94,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(
             f"criterion {number}: {status} — {_CRITERIA[number]} "
             f"({elapsed:.2f}s, budget {budget:.0f}s)")
+
+
+def draw_coefficient(rng, height):
+    """A coefficient at one of the numeric benchmark's three heights: an
+    int of at most 8, a 20-bit int, or a 64-bit over a 16-bit int."""
+    if height == "small":
+        return rng.randint(-8, 8)
+    if height == "int20":
+        return rng.randint(-(1 << 20), 1 << 20)
+    return Fraction(rng.randint(-(1 << 63), 1 << 63), rng.randint(1, 1 << 16))

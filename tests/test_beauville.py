@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import draw_coefficient
 
 from binform.beauville import (
     KEYPROP_TABLES,
@@ -180,6 +181,33 @@ class TestBuildPhi:
         phi = build_phi(quartic_of_root(tail, lam), "z")
         assert phi.degree("z") == 1
         assert phi.degree("lam") <= 12
+
+    @staticmethod
+    def assert_transvectant_route(q):
+        # phi on ints, wrapped once, against (S^3 - 27 T^2) z - S^3 in MPoly
+        # arithmetic on the transvectant routes' S and T
+        s, t = quartic_S_transvectant(q), quartic_T_transvectant(q)
+        z = MPoly.variable("z")
+        expected = (s ** 3 - 27 * t ** 2) * z - s ** 3
+        phi = build_phi(q)
+        assert phi == expected
+        assert (phi.variables, format_poly(phi)) \
+            == (expected.variables, format_poly(expected))
+
+    @pytest.mark.parametrize("height", ["small", "int20", "rat64"])
+    def test_numeric_equals_the_transvectant_route(self, height):
+        rng = random.Random(f"phi-{height}")
+        for _ in range(10):
+            tail = [draw_coefficient(rng, height) for _ in range(4)]
+            self.assert_transvectant_route(
+                quartic_of_root(tail, MPoly.variable("lam")))
+            self.assert_transvectant_route(
+                BinaryForm([draw_coefficient(rng, height) for _ in range(5)]))
+
+    def test_symbolic_equals_the_transvectant_route(self):
+        tail = [MPoly.variable(f"a{i}") for i in range(1, 5)]
+        for lam in (MPoly.variable("lam"), Fraction(2, 3)):
+            self.assert_transvectant_route(quartic_of_root(tail, lam))
 
     def test_z_root_is_the_j_invariant(self):
         # the z-root of phi at a numeric lam is the j-invariant of the

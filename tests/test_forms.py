@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binform.forms import (
     BinaryForm,
@@ -199,6 +201,82 @@ class TestAction:
         f = BinaryForm([1, 1, 1, 1])
         g = GroupElement(1, 0, 0, Fraction(1, 2))
         assert list(act(g, f).coeffs) == [1, 2, 4, 8]
+
+
+def act_by_products(g, form):
+    """The substitution action as sums of BinaryForm products: a second
+    route to ``act``, on Fraction and MPoly arithmetic."""
+    h = g.inverse()
+    p = form.order
+    x1, x2 = BinaryForm([h.a, h.b]), BinaryForm([h.c, h.d])
+    total = BinaryForm([0] * (p + 1))
+    for i, c in enumerate(form.coeffs):
+        image = BinaryForm([1])
+        for linear in [x1] * (p - i) + [x2] * i:
+            image = image * linear
+        total = total + image * c
+    return total
+
+
+# act clears g^-1 and the form to ints, so the heights are those of the
+# numeric benchmark: small ints, 20-bit ints, 64-bit over 16-bit rationals
+HEIGHTS = {
+    "small": st.integers(-8, 8),
+    "int20": st.integers(-(1 << 20), 1 << 20),
+    "rat64": st.builds(Fraction, st.integers(-(1 << 63), 1 << 63),
+                       st.integers(1, 1 << 16)),
+}
+ACT_PROFILE = settings(derandomize=True, database=None, deadline=None,
+                       max_examples=40)
+points = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+def group_elements(numbers, unimodular=True):
+    """Invertible g over the numbers; det g = +-1 only if unimodular."""
+    bad = {0} if unimodular else {0, 1, -1}
+    return st.tuples(numbers, numbers, numbers, numbers).filter(
+        lambda e: e[0] * e[3] - e[1] * e[2] not in bad).map(
+        lambda e: GroupElement(*e))
+
+
+def binary_forms(numbers):
+    return st.lists(numbers, min_size=1, max_size=7).map(BinaryForm)
+
+
+@pytest.mark.parametrize("height", HEIGHTS)
+class TestActOnInts:
+    @ACT_PROFILE
+    @given(data=st.data())
+    def test_is_the_substitution_at_points(self, height, data):
+        numbers = HEIGHTS[height]
+        g = data.draw(group_elements(numbers))
+        f = data.draw(binary_forms(numbers))
+        x1, x2 = data.draw(points), data.draw(points)
+        h = g.inverse()
+        assert act(g, f).evaluate(x1, x2) == f.evaluate(h.a * x1 + h.b * x2,
+                                                        h.c * x1 + h.d * x2)
+
+    @ACT_PROFILE
+    @given(data=st.data())
+    def test_composes(self, height, data):
+        numbers = HEIGHTS[height]
+        g, k = (data.draw(group_elements(numbers)) for _ in range(2))
+        f = data.draw(binary_forms(numbers))
+        assert act(g, act(k, f)) == act(g @ k, f)
+
+    @ACT_PROFILE
+    @given(data=st.data())
+    def test_generic_quintic_equals_the_product_route(self, height, data):
+        g = data.draw(group_elements(HEIGHTS[height], unimodular=False))
+        f = generic_form(5)
+        got, expected = act(g, f), act_by_products(g, f)
+        assert got == expected
+        assert str(got) == str(expected)
+
+
+def test_act_rejects_a_polynomial():
+    with pytest.raises(TypeError, match="^act needs a BinaryForm, got MPoly$"):
+        act(GroupElement(2, 1, 0, 1), generic_form(5).to_mpoly())
 
 
 class TestTransvectant:

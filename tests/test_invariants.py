@@ -6,7 +6,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import draw_coefficient
 
+from binform.beauville import quartic_of_root
 from binform.forms import (
     BinaryForm,
     GroupElement,
@@ -107,6 +109,48 @@ class TestQuarticInvariants:
             assert quartic_invariants(act(g, f)) == quartic_invariants(f)
 
 
+class TestQuarticRoutesAgree:
+    """quartic_S and quartic_T run on int term dicts; the transvectant
+    routes run on Fractions and MPolys.  They must agree in value and in
+    type."""
+
+    @staticmethod
+    def assert_same(got, expected):
+        assert got == expected
+        assert type(got) is type(expected)
+        if isinstance(got, MPoly):
+            assert (got.variables, str(got)) \
+                == (expected.variables, str(expected))
+
+    @pytest.mark.parametrize("height", ["small", "int20", "rat64"])
+    def test_numeric_quartics(self, height):
+        rng = random.Random(f"quartic-routes-{height}")
+        for _ in range(25):
+            q = BinaryForm([draw_coefficient(rng, height) for _ in range(5)])
+            self.assert_same(quartic_S(q), quartic_S_transvectant(q))
+            self.assert_same(quartic_T(q), quartic_T_transvectant(q))
+            assert type(quartic_S(q)) is Fraction
+
+    @pytest.mark.parametrize("lam", ["symbol", "number"])
+    def test_companion_quartic_of_the_generic_quintic(self, lam):
+        lam = MPoly.variable("lam") if lam == "symbol" else Fraction(-3, 7)
+        tail = [MPoly.variable(f"a{i}") for i in range(1, 5)]
+        q = quartic_of_root(tail, lam)
+        self.assert_same(quartic_S(q), quartic_S_transvectant(q))
+        self.assert_same(quartic_T(q), quartic_T_transvectant(q))
+
+    def test_constant_invariants_of_a_symbolic_quartic(self):
+        # x1 -> x1 + t x2 moves a numeric quartic without moving S and T
+        t = MPoly.variable("t")
+        x1, x2 = MPoly.variable("x1"), MPoly.variable("x2")
+        moved = BinaryForm([1, 2, 3, 4, 5]).to_mpoly().substitute(
+            {"x1": x1 + t * x2})
+        q = BinaryForm([moved.coefficient("x1", 4 - i).coefficient("x2", i)
+                        for i in range(5)])
+        self.assert_same(quartic_S(q), Fraction(15, 4))
+        self.assert_same(quartic_T(q), Fraction(5, 8))
+
+
 class TestJInvariant:
     def test_harmonic_is_one(self):
         # roots 0, 1, -1, infinity
@@ -171,14 +215,6 @@ def reference_invariants(form):
             Fraction(1, 8) * transvectant(first, third, 2).coeffs[0],
             Fraction(1, 96) * transvectant(third, third, 2).coeffs[0],
             Fraction(-1, 384) * transvectant(left, right, 1).coeffs[0])
-
-
-def draw_coefficient(rng, height):
-    if height == "small":
-        return rng.randint(-8, 8)
-    if height == "int20":
-        return rng.randint(-(1 << 20), 1 << 20)
-    return Fraction(rng.randint(-(1 << 63), 1 << 63), rng.randint(1, 1 << 16))
 
 
 class TestScaledChain:
