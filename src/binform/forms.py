@@ -191,11 +191,8 @@ def act(g: GroupElement, form: BinaryForm) -> BinaryForm:
     for c, image in zip(coeffs, images):
         for acc, w in zip(out, image):
             if w:
-                _addmul(acc, _ONE, c, w)
+                _addmul(acc, {0: w}, c)
     return BinaryForm([MPoly._make(vs, acc, e * m ** p) for acc in out])
-
-
-_ONE = {0: 1}   # the int term dict of 1 in every universe
 
 
 def _convolve(a: Sequence, b: Sequence) -> list:

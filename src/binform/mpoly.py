@@ -51,7 +51,8 @@ def _int_exponent(e) -> int:
 
 
 def _addmul(acc: dict, f: dict, g: dict, sign: int = 1) -> dict:
-    """Add sign * f * g into the raw term dict acc in place and return acc.
+    """Add sign * f * g into the raw term dict acc in place and return acc;
+    sign is any int, such as -1 or a weight of a sum of products.
 
     The smaller operand is looped over on the outside.  Zero coefficients
     stay in acc for the caller to prune.

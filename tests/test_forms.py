@@ -274,11 +274,6 @@ class TestActOnInts:
         assert str(got) == str(expected)
 
 
-def test_act_rejects_a_polynomial():
-    with pytest.raises(TypeError, match="^act needs a BinaryForm, got MPoly$"):
-        act(GroupElement(2, 1, 0, 1), generic_form(5).to_mpoly())
-
-
 class TestTransvectant:
     def test_zeroth_is_product(self):
         rng = random.Random(17)
