@@ -81,19 +81,19 @@ def _scaled(terms: dict, s: int) -> dict:
 
 
 def _monomials(exponents, bases, one=1, mul=operator.mul) -> list:
-    """The product of the powers bases[s] ** e[s] for each exponent tuple
-    e, computing every power of every base once: the library's one power
-    cache.  ``one`` and ``mul`` are the unit and product of the bases'
-    ring."""
-    powers = [[one] for _ in bases]     # powers[s][e] == bases[s] ** e
+    """The product of bases[s] ** e[s] for each exponent tuple e: the one
+    power cache, with ``one`` and ``mul`` the bases' unit and product.  A
+    result may be a base or a cached power itself: callers only read it."""
+    powers = [[one, base] for base in bases]  # powers[s][e] == bases[s] ** e
     out = []
     for exps in exponents:
-        monomial = one
-        for base, cache, e in zip(bases, powers, exps):
-            while len(cache) <= e:
-                cache.append(mul(cache[-1], base))
-            monomial = mul(monomial, cache[e])
-        out.append(monomial)
+        monomial = None
+        for pw, e in zip(powers, exps):
+            if e:
+                while len(pw) <= e:
+                    pw.append(mul(pw[-1], pw[1]))
+                monomial = pw[e] if monomial is None else mul(monomial, pw[e])
+        out.append(one if monomial is None else monomial)
     return out
 
 

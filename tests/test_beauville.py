@@ -4,10 +4,14 @@ degree-48 products, factor splitting, equivalence, and five-point data."""
 import hashlib
 import random
 from fractions import Fraction
+from math import comb, isqrt, prod
 
 import pytest
 from conftest import draw_coefficient
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from binform import beauville
 from binform.beauville import (
     KEYPROP_TABLES,
     BeauvilleVector,
@@ -221,7 +225,39 @@ class TestBuildPhi:
         assert Fraction(-b, a) == j_invariant(quartic)
 
 
+def root_product(tail, roots):
+    """Poisson's formula for r_bar: the product of phi at the roots of the
+    monic quintic with coefficient tail a1..a5, since phi_bar = phi modulo
+    the quintic, and a monic resultant is the product over the roots."""
+    return prod(build_phi(quartic_of_root(tail[:4], lam)) for lam in roots)
+
+
 class TestNumericPipeline:
+    @pytest.mark.parametrize("height", ["small", "int20", "rat64"])
+    def test_r_bar_is_the_product_over_the_roots(self, height):
+        rng = random.Random(f"roots-{height}")
+        for _ in range(20):
+            roots = set()
+            while len(roots) < 5:
+                roots.add(Fraction(draw_coefficient(rng, height)))
+            form = form_from_roots([(lam, 1) for lam in roots])
+            _, trace = beauville_pipeline(form)
+            assert trace.r_bar == root_product(form.coeffs[1:], roots)
+
+    def test_r_bar_is_the_product_over_the_sheared_roots(self):
+        # a0 = 0, a root at infinity: the pipeline shears by g = (1, 0, 1,
+        # 1), which sends a root (p : q) to (p : p + q), and its trace is
+        # that of the monic sheared form, with roots lam / (lam + 1) and 1
+        roots = [Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 2)]
+        form = form_from_roots([(lam, 1) for lam in roots] + [(1, 0)])
+        assert form.coeffs[0] == 0
+        sheared_roots = [lam / (lam + 1) for lam in roots] + [Fraction(1)]
+        monic = form_from_roots([(mu, 1) for mu in sheared_roots])
+        sheared = act(GroupElement(1, 0, 1, 1), form)
+        assert sheared == sheared.coeffs[0] * monic
+        _, trace = beauville_pipeline(form)
+        assert trace.r_bar == root_product(monic.coeffs[1:], sheared_roots)
+
     def test_fifth_power_sum(self):
         vector, trace = beauville_pipeline(BinaryForm([1, 0, 0, 0, 0, 1]))
         assert vector.b[0] == Fraction(3125 ** 3, 2 ** 40)
@@ -495,6 +531,21 @@ class TestDecomposeInJKL:
         with pytest.raises(TypeError):
             decompose_in_JKL(7, 4)
 
+    def test_missing_basis_column_leaves_a_residual(self, monkeypatch):
+        # the residual check guards the linear solve: without K's column
+        # the system for K on the canonical family has no solution
+        family = beauville._canonical_family
+
+        def without_K(degree):
+            bindings, basis, columns = family(degree)
+            i = basis.index((0, 1, 0))
+            return (bindings, basis[:i] + basis[i + 1:],
+                    columns[:i] + columns[i + 1:])
+
+        monkeypatch.setattr(beauville, "_canonical_family", without_K)
+        with pytest.raises(ValueError, match="^not in the J,K,L subring$"):
+            decompose_in_JKL(quintic_invariants(generic_form(5)).K, 8)
+
     def test_round_trip_on_random_JKL_polynomials(self):
         # decompose(expand(R)) == R for seeded sparse JKL polynomials; low
         # degrees dominate to keep the Cartesian expansions moderate, with
@@ -578,6 +629,19 @@ class TestThm48Decompose:
             checked += 1
 
 
+def twisted(coeffs, d):
+    """F(x + r y, x - r y) for a palindromic quintic F and r^2 = d.  The
+    coefficient of x^(5-k) y^k is r^k times an int sum, which vanishes for
+    odd k, because r -> -r swaps the two arguments of F."""
+    out = []
+    for k in range(6):
+        c = sum(a * comb(5 - i, j) * comb(i, k - j) * (-1) ** (k - j)
+                for i, a in enumerate(coeffs) for j in range(k + 1))
+        assert k % 2 == 0 or c == 0
+        out.append(c * d ** (k // 2))
+    return BinaryForm(out)
+
+
 class TestEquivalence:
     def test_self_witness(self):
         form = BinaryForm([1, 0, 0, 0, 0, 1])
@@ -631,6 +695,39 @@ class TestEquivalence:
                     s ** (degree // 2) * getattr(v1, name)
             if v1.H:
                 assert s == lam ** 2 / g.det ** 5
+
+    def test_irrational_s_is_not_given(self):
+        # the second forms are F(x + r y, x - r y) for r^2 = 2 and r^2 = -1
+        # (see twisted): s^2 is positive and not a square, then negative
+        form = BinaryForm([1, 3, -2, -2, 3, 1])
+        for other, s_squared in (([4, 0, 80, 0, -48, 0], "32768"),
+                                 ([4, 0, -40, 0, -12, 0], "-1024")):
+            other = BinaryForm(other)
+            assert equivalence_witness(form, other) == {
+                "equivalent": True, "pinned_by": "J",
+                "s_squared": s_squared}
+            assert same_j_data(form, other)
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=40)
+    @given(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
+           st.integers(-20, 20).filter(
+               lambda d: d < 0 or isqrt(d) ** 2 != d))
+    def test_twist_by_a_non_square_root(self, half, d):
+        # the twist's determinant is -2r, so an invariant of degree k
+        # scales by (-2r)^(5k/2): s^2 = 2^10 d^5, never a rational square
+        form = BinaryForm(half + half[::-1])
+        assume(quintic_invariants(form).Disc != 0)
+        other = twisted(form.coeffs, d)
+        witness = equivalence_witness(form, other)
+        assert "s" not in witness
+        key, value = {"J": ("s_squared", 2 ** 10 * d ** 5),
+                      "K": ("s_fourth", 2 ** 20 * d ** 10)}[
+            witness["pinned_by"]]
+        assert witness == {"equivalent": True,
+                           "pinned_by": witness["pinned_by"],
+                           key: str(value)}
+        assert gl2_equivalent(form, other) is same_j_data(form, other)
 
     def test_canonical_pair_fails_on_K(self):
         first = sylvester_specialize(SylvesterPoint(1, 1, 1))

@@ -1,12 +1,15 @@
 """Differential tests: the determinant, the resultant, the discriminant,
-substitution, ring operations, derivatives, coefficients and division
-against sympy, the resultant against the Sylvester determinant, the
-numeric routes against the generic symbolic ones, the rejection of
-non-invariants that agree with an invariant on the canonical family, the
-text format's round trip, and the command line on random argument lists.
+substitution, ring operations, derivatives, coefficients, division, row
+reduction and the text format against sympy, the resultant against the
+Sylvester determinant, the numeric routes against the generic symbolic
+ones, the rejection of non-invariants that agree with an invariant on the
+canonical family, and the command line on random argument lists.
 
-hypothesis draws the inputs under a derandomized profile, so every run
-checks the same examples.
+The sympy references run in sympy's polynomial rings over QQ: ``to_ring``
+reads a polynomial or a number into a ring element, determinants are
+Berkowitz's on ``DomainMatrix``, and every comparison is exact equality of
+ring elements or of matrices.  hypothesis draws the inputs under a
+derandomized profile, so every run checks the same examples.
 """
 
 from fractions import Fraction
@@ -18,6 +21,9 @@ import pytest
 import sympy
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.rings import PolyRing
 
 from binform.beauville import (KEYPROP_TABLES, _row_reduce,
                                beauville_closed_form, beauville_pipeline,
@@ -54,16 +60,42 @@ def monomial_sums(draw, coefficients=rationals):
     return out
 
 
-def to_sympy(f):
-    """A polynomial or a rational number as a sympy expression."""
+# sympy's polynomial ring QQ[x, y, z], in lex order
+XYZ = PolyRing(NAMES, QQ)
+
+
+def to_ring(f, ring):
+    """A polynomial, read through its terms, or a rational number as an
+    element of the sympy polynomial ring ``ring``, whose generators include
+    the polynomial's variables."""
     if not isinstance(f, MPoly):
-        f = Fraction(f)
-        return sympy.Rational(f.numerator, f.denominator)
-    symbols = [sympy.Symbol(v) for v in f.variables]
-    return sympy.Add(*(
-        sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
-        * sympy.Mul(*(s ** e for s, e in zip(symbols, exps)))
-        for exps, c in f.terms()))
+        f = MPoly.constant(f)
+    index = [ring.symbols.index(sympy.Symbol(v)) for v in f.variables]
+    terms = {}
+    for exps, c in f.terms():
+        monomial = [0] * ring.ngens
+        for i, e in zip(index, exps):
+            monomial[i] = e
+        terms[tuple(monomial)] = QQ(c.numerator, c.denominator)
+    return ring.from_dict(terms)
+
+
+def to_matrix(rows, ring):
+    """Rows of polynomials or numbers as a DomainMatrix over ``ring``, or
+    over QQ when every entry is a number."""
+    entries = [[to_ring(e, ring) for e in row] for row in rows]
+    shape = (len(rows), len(rows[0]) if rows else 0)
+    matrix = DomainMatrix(entries, shape, ring.to_domain())
+    if all(e.is_ground for row in entries for e in row):
+        return matrix.convert_to(QQ)
+    return matrix
+
+
+def reference_det(rows):
+    """sympy's determinant of a square matrix, in XYZ: up to sign, the
+    constant term of Berkowitz's division-free characteristic polynomial,
+    an algorithm apart from the library's fraction-free elimination."""
+    return XYZ((-1) ** len(rows) * to_matrix(rows, XYZ).charpoly()[-1])
 
 
 @st.composite
@@ -87,25 +119,42 @@ def matrices(draw):
     return rows
 
 
+# polynomials in t over the domain XYZ: their discriminant in t is an
+# element of XYZ
+T_OVER_XYZ = PolyRing("t", XYZ.to_domain())
+
+
+def univariate(form):
+    """A form's dehomogenization as a polynomial in t over XYZ."""
+    t = T_OVER_XYZ.gens[0]
+    return sum((T_OVER_XYZ(to_ring(c, XYZ)) * t ** (form.order - i)
+                for i, c in enumerate(form.coeffs)), T_OVER_XYZ.zero)
+
+
+def reference_resultant(f, g):
+    """Res(f, g) in XYZ: the determinant of the Sylvester matrix, built
+    here from the coefficient lists, q shifted rows of f's over p of g's."""
+    a, b = list(f.coeffs), list(g.coeffs)
+    p, q = f.order, g.order
+    return reference_det(
+        [[0] * i + a + [0] * (q - 1 - i) for i in range(q)]
+        + [[0] * i + b + [0] * (p - 1 - i) for i in range(p)])
+
+
 def forms(order, coefficients):
     """Binary forms of the given order with a nonzero leading coefficient,
-    so the univariate resultant in sympy has the same degree."""
+    so the form's polynomial in t has the same degree."""
     return st.tuples(coefficients.filter(lambda c: c != 0),
                      st.lists(coefficients, min_size=order,
                               max_size=order)).map(
         lambda t: BinaryForm([t[0], *t[1]]))
 
 
-def sympy_det(rows):
-    return sympy.Matrix(
-        [[to_sympy(e) for e in row] for row in rows]).det(method="berkowitz")
-
-
 @DIFFERENTIAL
 @given(matrices())
 def test_det_matches_sympy(rows):
     det = det_fraction_free(rows)
-    assert sympy.expand(to_sympy(det) - sympy_det(rows)) == 0
+    assert to_ring(det, XYZ) == reference_det(rows)
 
 
 @DIFFERENTIAL
@@ -120,7 +169,7 @@ def test_det_of_sylvester_shape_matches_sympy(data):
                                       max_size=q + 1)))
     rows = sylvester_matrix(f, g)
     det = det_fraction_free(rows)
-    assert sympy.expand(to_sympy(det) - sympy_det(rows)) == 0
+    assert to_ring(det, XYZ) == reference_det(rows)
 
 
 # coefficients past 64 bits, so the packing width is past 64 bits too
@@ -191,7 +240,7 @@ def packed_matrices(draw):
 @given(packed_matrices())
 def test_packed_det_matches_sympy(rows):
     det = det_fraction_free(rows)
-    assert sympy.expand(to_sympy(det) - sympy_det(rows)) == 0
+    assert to_ring(det, XYZ) == reference_det(rows)
 
 
 @DIFFERENTIAL
@@ -214,29 +263,21 @@ def test_det_is_the_same_whichever_variable_is_packed(rows):
                 for e in row] for row in rows]
     det = det_fraction_free(rows)
     assert det_fraction_free(swapped).substitute(swap) == det
-    assert sympy.expand(to_sympy(det) - sympy_det(rows)) == 0
+    assert to_ring(det, XYZ) == reference_det(rows)
 
 
 @DIFFERENTIAL
 @given(st.data())
 def test_resultant_matches_sympy(data):
-    # sympy 1.14 returns Res(g, f) for resultant(f, g) when deg f < deg g,
-    # so f gets the larger order here and the swap is checked on our side
+    # f gets the larger order, and the swap is checked on our side
     p = data.draw(st.integers(1, 4))
     q = data.draw(st.integers(1, p))
     coefficients = data.draw(st.sampled_from(
         (integers, rationals, monomial_sums(integers))))
     f = data.draw(forms(p, coefficients))
     g = data.draw(forms(q, coefficients))
-    t = sympy.Symbol("t")
-
-    def univariate(form):
-        return sum(to_sympy(c) * t ** (form.order - i)
-                   for i, c in enumerate(form.coeffs))
-
-    expected = sympy.resultant(univariate(f), univariate(g), t)
     res = resultant(f, g)
-    assert sympy.expand(to_sympy(res) - expected) == 0
+    assert to_ring(res, XYZ) == reference_resultant(f, g)
     assert resultant(g, f) == res * (-1) ** (p * q)
 
 
@@ -291,6 +332,7 @@ def test_resultant_equals_sylvester_determinant(pair):
 
 
 OUTSIDE = "w"       # a variable no drawn polynomial has
+XYZW = PolyRing(NAMES + (OUTSIDE,), QQ)
 
 
 @st.composite
@@ -319,10 +361,11 @@ BINDINGS = st.one_of(
        st.dictionaries(st.sampled_from(NAMES + (OUTSIDE,)), BINDINGS))
 def test_substitute_matches_sympy(f, bindings):
     got = f.substitute(bindings)
-    expected = to_sympy(f).subs(
-        {sympy.Symbol(v): to_sympy(b)
-         for v, b in bindings.items()}, simultaneous=True)
-    assert sympy.expand(to_sympy(got) - expected) == 0
+    # compose substitutes every binding at once
+    expected = to_ring(f, XYZW).compose(
+        [(to_ring(MPoly.variable(v), XYZW), to_ring(b, XYZW))
+         for v, b in bindings.items()])
+    assert to_ring(got, XYZW) == expected
     # a binding outside the universe changes nothing
     if OUTSIDE in bindings:
         assert f.substitute({OUTSIDE: bindings[OUTSIDE]}) == f
@@ -333,20 +376,11 @@ def test_substitute_matches_sympy(f, bindings):
 def test_discriminant_matches_sympy(data):
     p = data.draw(st.integers(2, 6))
     form = data.draw(forms(p, rationals))
-    t = sympy.Symbol("t")
-    univariate = sum(to_sympy(c) * t ** (p - i)
-                     for i, c in enumerate(form.coeffs))
-    assert to_sympy(discriminant(form)) == sympy.discriminant(univariate, t)
+    assert to_ring(discriminant(form), XYZ) == univariate(form).discriminant()
 
 
 # the one product kernel, directly and behind *, ** and monic_divrem, and
-# - (through +), against sympy.Poly over x, y, z
-
-GENERATORS = [sympy.Symbol(v) for v in NAMES]
-
-
-def sympy_poly(f):
-    return sympy.Poly(to_sympy(f), *GENERATORS, domain="QQ")
+# - (through +), against the ring operations of XYZ
 
 
 @DIFFERENTIAL
@@ -359,8 +393,8 @@ def test_product_kernel_matches_sympy(f, g, h, sign):
     acc = {k: c * (m // f._den) for k, c in f._terms.items()}
     scaled = {k: c * (m // (g._den * h._den)) for k, c in g._terms.items()}
     got = MPoly._make(NAMES, _addmul(acc, scaled, h._terms, sign), m)
-    assert sympy_poly(got) == (sympy_poly(f)
-                               + sign * sympy_poly(g) * sympy_poly(h))
+    assert to_ring(got, XYZ) == (to_ring(f, XYZ)
+                                 + sign * to_ring(g, XYZ) * to_ring(h, XYZ))
 
 
 @DIFFERENTIAL
@@ -368,26 +402,26 @@ def test_product_kernel_matches_sympy(f, g, h, sign):
        st.integers(0, 4))
 def test_ring_operations_match_sympy(f, g, e):
     # the operands' universes differ, so they are aligned first
-    assert sympy_poly(f * g) == sympy_poly(f) * sympy_poly(g)
-    assert sympy_poly(f - g) == sympy_poly(f) - sympy_poly(g)
-    assert sympy_poly(f ** e) == sympy_poly(f) ** e
+    a, b = to_ring(f, XYZ), to_ring(g, XYZ)
+    assert to_ring(f * g, XYZ) == a * b
+    assert to_ring(f - g, XYZ) == a - b
+    # the ring refuses 0 ** 0, which is 1 in Python and in the library
+    assert to_ring(f ** e, XYZ) == (a ** e if a else XYZ(0 ** e))
 
 
 @DIFFERENTIAL
 @given(st.one_of(polynomials(NAMES, 6), rationals.map(MPoly.constant)))
 def test_format_reads_back_in_sympy(f):
     text = format_poly(f).replace("^", "**")
-    assert sympy.Poly(sympy.sympify(text), *GENERATORS, domain="QQ") \
-        == sympy_poly(f)
+    assert XYZ.from_expr(sympy.sympify(text)) == to_ring(f, XYZ)
 
 
 @DIFFERENTIAL
 @given(polynomials(NAMES, 6), st.sampled_from(NAMES), st.integers(0, 4))
 def test_diff_and_coefficient_match_sympy(f, name, power):
-    symbol = sympy.Symbol(name)
-    assert sympy_poly(f.diff(name)) == sympy_poly(f).diff(symbol)
-    expected = sympy.Poly(to_sympy(f), symbol).nth(power)
-    assert sympy.expand(to_sympy(f.coefficient(name, power)) - expected) == 0
+    v, a = to_ring(MPoly.variable(name), XYZ), to_ring(f, XYZ)
+    assert to_ring(f.diff(name), XYZ) == a.diff(v)
+    assert to_ring(f.coefficient(name, power), XYZ) == a.coeff_wrt(v, power)
 
 
 @st.composite
@@ -449,34 +483,28 @@ def linear_systems(draw):
     return rows, rhs
 
 
-def sympy_rref(rows):
-    reduced, pivots = sympy.Matrix(
-        [[to_sympy(x) for x in row] for row in rows]).rref()
-    return [[Fraction(int(x.p), int(x.q)) for x in row]
-            for row in reduced.tolist()], list(pivots)
-
-
 @DIFFERENTIAL
 @given(linear_systems())
 def test_row_reduce_matches_sympy_rref(system):
     rows, rhs = system
     n = len(rows[0])
-    expected, expected_pivots = sympy_rref(rows)
+    expected, expected_pivots = to_matrix(rows, XYZ).rref()
     reduced, pivots = _row_reduce(rows, n)
-    assert pivots == expected_pivots
-    assert [[Fraction(x) for x in row] for row in reduced] == expected
+    assert tuple(pivots) == expected_pivots
+    assert to_matrix(reduced, XYZ) == expected
     # augmented: the pivot rows agree on the matrix, the zero rows show an
     # inconsistent system, and a consistent one has sympy's solution column
     augmented = [row + [b] for row, b in zip(rows, rhs)]
-    full, full_pivots = sympy_rref(augmented)
+    full, full_pivots = to_matrix(augmented, XYZ).rref()
     reduced, pivots = _row_reduce(augmented, n)
     rank = len(pivots)
-    assert pivots == expected_pivots
-    assert [row[:n] for row in reduced[:rank]] == expected[:rank]
+    assert tuple(pivots) == expected_pivots
+    got = to_matrix(reduced, XYZ)
+    assert got[:rank, :n] == expected[:rank, :]
     inconsistent = n in full_pivots
     assert any(row[-1] for row in reduced[rank:]) == inconsistent
     if not inconsistent:
-        assert reduced[:rank] == full[:rank]
+        assert got[:rank, :] == full[:rank, :]
 
 
 @DIFFERENTIAL
@@ -489,10 +517,9 @@ def test_monic_divrem_matches_sympy(f, tail, d):
     q, r = monic_divrem(f, g, "x")
     assert q * g + r == f
     assert r.degree("x") < d
-    expected_q, expected_r = sympy.div(to_sympy(f), to_sympy(g),
-                                       sympy.Symbol("x"))
-    assert sympy.expand(to_sympy(q) - expected_q) == 0
-    assert sympy.expand(to_sympy(r) - expected_r) == 0
+    # x^d leads g in lex order, so lex division leaves deg_x r < d
+    expected_q, expected_r = to_ring(f, XYZ).div(to_ring(g, XYZ))
+    assert (to_ring(q, XYZ), to_ring(r, XYZ)) == (expected_q, expected_r)
 
 
 # the numeric routes against the generic symbolic ones: the same
