@@ -8,7 +8,7 @@ from math import comb, isqrt, prod
 
 import pytest
 from conftest import draw_coefficient
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from binform import beauville
@@ -713,6 +713,8 @@ class TestEquivalence:
     @given(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
            st.integers(-20, 20).filter(
                lambda d: d < 0 or isqrt(d) ** 2 != d))
+    @example([3, -5, -10], 2)      # J = 0: K pins s^4
+    @example([3, -5, -10], -3)
     def test_twist_by_a_non_square_root(self, half, d):
         # the twist's determinant is -2r, so an invariant of degree k
         # scales by (-2r)^(5k/2): s^2 = 2^10 d^5, never a rational square
