@@ -22,6 +22,7 @@ from .forms import (BinaryForm, GroupElement, _over, act, resultant,
                     weight_of)
 from .invariants import (
     InvariantVector,
+    _check_graded_degree,
     _require_order,
     monomial_basis,
     _scaled_invariants,
@@ -494,8 +495,7 @@ def decompose_in_JKL(invariant_poly: MPoly, degree: int) -> JKLPolynomial:
     extra = set(invariant_poly.variables) - set(_COEFF_NAMES)
     if extra:
         raise ValueError(f"unexpected variables: {sorted(extra)}")
-    if degree <= 0 or degree % 4:
-        raise ValueError("degree must be a positive multiple of 4")
+    _check_graded_degree(degree)
     if not invariant_poly._is_homogeneous(degree):
         raise ValueError(f"input is not homogeneous of degree {degree}")
     _require_invariant(invariant_poly, degree)

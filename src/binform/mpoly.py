@@ -68,6 +68,31 @@ def _addmul(acc: dict, f: dict, g: dict, sign: int = 1) -> dict:
     return acc
 
 
+def _power(terms: dict, e: int) -> dict:
+    """The int terms to the int power e >= 0 by repeated squaring (Knuth,
+    TAOCP Vol. 2, 4.6.3), with zero coefficients kept as ``_addmul`` keeps
+    them.  The result may be terms itself: callers only read it."""
+    power = None
+    while e:
+        if e & 1:
+            power = terms if power is None else _addmul({}, power, terms)
+        e >>= 1
+        if e:
+            terms = _addmul({}, terms, terms)
+    return {0: 1} if power is None else power
+
+
+def _split(terms: dict, sh: int, dsh: int) -> dict:
+    """Int terms, with their degree field at shift dsh, grouped by their
+    exponent e in the variable at shift sh: e -> the cofactors of that
+    variable**e, in the same universe."""
+    split: dict = {}
+    for k, c in terms.items():
+        e = (k >> sh) & _MASK
+        split.setdefault(e, {})[k - (e << sh) - (e << dsh)] = c
+    return split
+
+
 def _max_degree(entries, vs: tuple) -> int:
     """The largest total degree of a term of the int term dicts over the
     universe vs, -1 when they have no term: keys order by degree first."""
@@ -250,16 +275,10 @@ class MPoly:
     def coefficients(self, var: str) -> list:
         """The coefficients of var**0 .. var**deg over the remaining
         variables, from one pass over the terms."""
-        sh = self._shift(var)
-        dsh = self._n * _BITS
         rest = tuple(v for v in self._vars if v != var)
-        table = _remap_table(self._vars, rest)
-        split: dict = {}
-        for k, c in self._terms.items():
-            e = (k >> sh) & _MASK
-            key = _remap_key(k - (e << sh) - (e << dsh), table)
-            split.setdefault(e, {})[key] = c
-        return [MPoly._make(rest, split.get(e, {}), self._den)
+        split = _split(self._terms, self._shift(var), self._n * _BITS)
+        return [MPoly._make(rest, _remap_terms(split.get(e, {}), self._vars,
+                                               rest), self._den)
                 for e in range(max(split, default=-1) + 1)]
 
     def coefficient(self, var: str, power: int) -> "MPoly":
@@ -371,17 +390,8 @@ class MPoly:
             raise ValueError("exponent must be a nonnegative integer")
         if self._terms:
             _check_degree(self.total_degree() * exponent)
-        base = self._terms
-        result = {0: 1}
-        e = exponent
-        while e:
-            if e & 1:
-                result = {k: c for k, c in _addmul({}, result, base).items()
-                          if c}
-            e >>= 1
-            if e:
-                base = {k: c for k, c in _addmul({}, base, base).items() if c}
-        return MPoly._make(self._vars, result, self._den ** exponent)
+        return MPoly._make(self._vars, _power(self._terms, exponent),
+                           self._den ** exponent)
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -407,86 +417,53 @@ class MPoly:
         """Simultaneous substitution of polynomials (or scalars) for variables.
 
         Bindings for variables outside the universe are inert.  Unbound
-        variables pass through unchanged.  A monomial binding (one term, a
-        scalar, or 0) moves each term's key and scales its coefficient,
-        without multiplying polynomials.  The terms are then grouped by
-        their exponents in the variables bound to polynomials of two or
-        more terms, and each group is multiplied once by its product of
-        binding powers.  Everything runs on the stored ints: a binding over
-        d != 1, for a variable of degree D, scales a term of exponent e by
-        d**(D - e), and the result's denominator by d**D.
+        variables pass through unchanged.  Each bound variable v takes one
+        pass: the terms are split by their exponent e in v, as
+        ``coefficients`` splits them, and each part is multiplied once by
+        the e-th power of v's image, taken by repeated squaring.  Everything
+        runs on the stored ints: an image over d != 1, for a v of degree D,
+        scales the part of exponent e by d**(D - e), and the result's
+        denominator by d**D.  Scalars and 0 go first, as they only lower
+        degrees, then the images by their number of terms, fewest first.
+        No term is pruned between passes, so each part's degree check
+        covers every term, cancelled or not.  When an image mentions a
+        bound variable, the bound variables are first renamed apart.
         """
-        bound = {}
-        for v, b in bindings.items():
-            if v in self._vars:
-                bound[v] = b if isinstance(b, MPoly) else MPoly.constant(b)
+        bound = {v: b if isinstance(b, MPoly) else MPoly.constant(b)
+                 for v, b in bindings.items() if v in self._vars}
         if not bound or not self._terms:
             return self
-        keep = tuple(v for v in self._vars if v not in bound)
-        uni = set(keep)
-        for b in bound.values():
-            uni |= set(b._vars)
-        target = tuple(sorted(uni))
-        bound_aligned = {v: _remap_terms(b._terms, b._vars, target)
-                         for v, b in bound.items()}
-        # variable -> (key, coefficient) of a one-term binding, or None for
-        # a binding to 0
-        monomial = {v: next(iter(t.items()), None)
-                    for v, t in bound_aligned.items() if len(t) <= 1}
-        polynomial = tuple(v for v in bound if v not in monomial)
-        keep_table = _remap_table(self._vars, target)
-        dsh = self._n * _BITS
-        den = self._den
-
-        def field(v):
-            # v's shift, one unit of v in the key, what a unit of v adds to
-            # a term's degree (deg b - 1), and b's denominator and v's degree
-            nonlocal den
-            sh = self._shift(v)
-            d = bound[v]._den
-            top = self.degree(v) if d != 1 else 0
-            den *= d ** top
-            return (sh, (1 << sh) + (1 << dsh),
-                    max(bound[v].total_degree(), 0) - 1, d, top)
-
-        grouped = [field(v) for v in polynomial]
-        # a monomial binding adds its key and scales by its coefficient per
-        # unit of v; a binding to 0 has no image
-        moved = [field(v) + (image or (0, None))
-                 for v, image in monomial.items()]
-        # exponents in the polynomial-bound variables -> remapped terms
-        groups: dict = {}
-        for base, c in self._terms.items():
-            degree = base >> dsh
-            exps = []
-            for sh, unit, grow, d, top in grouped:
-                e = (base >> sh) & _MASK
-                exps.append(e)
-                base -= e * unit
-                degree += e * grow
-                if d != 1:
-                    c *= d ** (top - e)
-            key = 0
-            for sh, unit, grow, d, top, mkey, mcoeff in moved:
-                e = (base >> sh) & _MASK
-                if d != 1:
-                    c *= d ** (top - e)
-                if e:
-                    base -= e * unit
-                    degree += e * grow
-                    key += e * mkey
-                    c = 0 if mcoeff is None else c * mcoeff ** e
-            _check_degree(degree)
-            if c:
-                key += _remap_key(base, keep_table)
-                group = groups.setdefault(tuple(exps), {})
-                group[key] = group.get(key, 0) + c
-        products = _monomials(groups, [bound_aligned[v] for v in polynomial],
-                              {0: 1}, lambda f, g: _addmul({}, f, g))
-        acc: dict = {}
-        for group, product in zip(groups.values(), products):
-            _addmul(acc, group, product)
-        return MPoly._make(target, acc, den)
+        names = set(self._vars).union(*(b._vars for b in bound.values()))
+        if any(v in bound for b in bound.values() for v in b._vars):
+            fresh = {}
+            for v in bound:
+                name = v + "'"
+                while name in names:
+                    name += "'"
+                names.add(name)
+                fresh[v] = name
+            renamed = self.substitute(
+                {v: MPoly((name,), {(1,): 1}) for v, name in fresh.items()})
+            return renamed.substitute(
+                {fresh[v]: b for v, b in bound.items()})
+        # one universe for every pass: the bound variables leave it at the end
+        vs = tuple(sorted(names))
+        dsh = len(vs) * _BITS
+        terms, den = _remap_terms(self._terms, self._vars, vs), self._den
+        for v, b in sorted(bound.items(), key=lambda vb: (
+                vb[1].total_degree() > 0, len(vb[1]))):
+            # a binding to 0 keeps its keys, with coefficient 0
+            image = _remap_terms(b._terms, b._vars, vs) or {0: 0}
+            grow = max(b.total_degree(), 0)
+            split = _split(terms, (len(vs) - 1 - vs.index(v)) * _BITS, dsh)
+            top = max(split)
+            terms = {}
+            for e, part in split.items():
+                _check_degree((max(part) >> dsh) + e * grow)
+                _addmul(terms, part, _power(image, e), b._den ** (top - e))
+            den *= b._den ** top
+        keep = tuple(v for v in vs if v not in bound)
+        return MPoly._make(keep, _remap_terms(terms, vs, keep), den)
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
         """Full evaluation at rational values for every variable."""

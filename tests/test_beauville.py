@@ -63,6 +63,17 @@ class TestJKLPolynomial:
         assert p.terms == {(0, 0, 1): 2}
         assert not JKLPolynomial({}).terms
 
+    def test_repr(self):
+        assert repr(JKLPolynomial({})) == "JKLPolynomial(0)"
+        assert repr(JKLPolynomial({(0, 0, 0): 5, (1, 0, 0): Fraction(-3, 4),
+                                   (0, 2, 1): -1})) \
+            == "JKLPolynomial(-3/4*L^1 + -1*K^2*J^1 + 5)"
+        assert repr(KEYPROP_TABLES[5]) == (
+            "JKLPolynomial(30517578125/17414258688*K^3"
+            " + -30517578125/17414258688*K^2*J^2"
+            " + 30517578125/52242776064*K^1*J^4"
+            " + -30517578125/470184984576*J^6)")
+
     def test_degree_validation(self):
         JKLPolynomial({(2, 0, 0): 1, (0, 0, 6): -1}, degree=24)
         with pytest.raises(ValueError, match="degree"):
@@ -232,6 +243,19 @@ def root_product(tail, roots):
     return prod(build_phi(quartic_of_root(tail[:4], lam)) for lam in roots)
 
 
+def transvectant_root_product(tail, roots):
+    """The same product with phi built at each root as (S^3 - 27 T^2) z
+    - S^3 from the transvectant route's S and T: no ``build_phi``."""
+    z = MPoly.variable("z")
+    out = 1
+    for lam in roots:
+        quartic = quartic_of_root(tail[:4], lam)
+        s = quartic_S_transvectant(quartic)
+        t = quartic_T_transvectant(quartic)
+        out = out * ((s ** 3 - 27 * t ** 2) * z - s ** 3)
+    return out
+
+
 class TestNumericPipeline:
     @pytest.mark.parametrize("height", ["small", "int20", "rat64"])
     def test_r_bar_is_the_product_over_the_roots(self, height):
@@ -243,6 +267,18 @@ class TestNumericPipeline:
             form = form_from_roots([(lam, 1) for lam in roots])
             _, trace = beauville_pipeline(form)
             assert trace.r_bar == root_product(form.coeffs[1:], roots)
+
+    @pytest.mark.parametrize("height", ["small", "int20", "rat64"])
+    def test_r_bar_is_the_transvectant_product_over_the_roots(self, height):
+        rng = random.Random(f"transvectant-roots-{height}")
+        for _ in range(10):
+            roots = set()
+            while len(roots) < 5:
+                roots.add(Fraction(draw_coefficient(rng, height)))
+            form = form_from_roots([(lam, 1) for lam in roots])
+            _, trace = beauville_pipeline(form)
+            assert trace.r_bar \
+                == transvectant_root_product(form.coeffs[1:], roots)
 
     def test_r_bar_is_the_product_over_the_sheared_roots(self):
         # a0 = 0, a root at infinity: the pipeline shears by g = (1, 0, 1,
@@ -431,6 +467,18 @@ class TestSymbolicPipeline:
         assert hashlib.sha256(format_poly(trace.r_bar).encode()).hexdigest() \
             == "4b50634be497aa559a8c10ee76d79fbe849ec80f4aca5a5a61fd560337bdd667"
 
+    def test_canonical_substitution_is_pinned(self, symbolic_vector):
+        # the six entries on the canonical family, as decompose_in_JKL
+        # specializes them: 14859 terms in, 546 out
+        vector, _ = symbolic_vector
+        bindings, _, _ = beauville._canonical_family(24)
+        specialized = [entry.substitute(bindings) for entry in vector.b]
+        assert sum(len(entry) for entry in vector.b) == 14859
+        assert sum(len(p) for p in specialized) == 546
+        text = "\n".join(format_poly(p) for p in specialized)
+        assert hashlib.sha256(text.encode()).hexdigest() \
+            == "ac52d686a81d5261cbc000b0610d1d3e93d07501fbe63768b15e3c0be771cbba"
+
     def test_verify_keyprop_with_reused_vector(self, symbolic_vector):
         vector, _ = symbolic_vector
         report = verify_keyprop(vector=vector)
@@ -530,6 +578,17 @@ class TestDecomposeInJKL:
             decompose_in_JKL(MPoly.variable("b0") ** 4, 4)
         with pytest.raises(TypeError):
             decompose_in_JKL(7, 4)
+
+    @pytest.mark.parametrize("degree", [24.0, True])
+    def test_degree_is_checked_before_the_invariance_proof(
+            self, degree, monkeypatch):
+        def unreached(poly, degree):
+            raise AssertionError("the invariance proof ran")
+
+        monkeypatch.setattr(beauville, "_require_invariant", unreached)
+        iv = quintic_invariants(generic_form(5))
+        with pytest.raises(ValueError, match="multiple of 4"):
+            decompose_in_JKL(iv.K ** 3, degree)
 
     def test_missing_basis_column_leaves_a_residual(self, monkeypatch):
         # the residual check guards the linear solve: without K's column
@@ -832,6 +891,12 @@ class TestBeauvilleVector:
                                   MPoly.zero(("a1",)), 0, MPoly.constant(1)])
         assert first == second
         assert hash(first) == hash(second)
+
+    def test_repr(self):
+        x, y = MPoly.variable("x"), MPoly.variable("y")
+        assert repr(BeauvilleVector([1, Fraction(1, 2), 0, -3, x, y ** 2])) \
+            == ("BeauvilleVector([Fraction(1, 1), Fraction(1, 2),"
+                " Fraction(0, 1), Fraction(-3, 1), MPoly('x'), MPoly('y^2')])")
 
     def test_wrong_arity(self):
         with pytest.raises(ValueError, match="six"):

@@ -69,6 +69,10 @@ class TestGroupElement:
         with pytest.raises(TypeError, match="exact rational"):
             GroupElement(entry, 0, 0, 1)
 
+    def test_repr(self):
+        assert repr(GroupElement(1, Fraction(1, 2), -3, 2)) \
+            == "GroupElement(1, 1/2, -3, 2)"
+
     def test_composition_is_matrix_product(self):
         rng = random.Random(3)
         for _ in range(10):
@@ -105,6 +109,11 @@ class TestBinaryForm:
         assert BinaryForm([0, 0]).is_zero()
         with pytest.raises(ValueError):
             BinaryForm([])
+
+    def test_repr(self):
+        x = MPoly.variable("x")
+        assert repr(BinaryForm([1, Fraction(-1, 2), 0, x ** 2 - 3, 3])) \
+            == "BinaryForm([1, -1/2, 0, x^2 - 3, 3])"
 
     @pytest.mark.parametrize("lead", ["1/2", "1e4000000", True, 0.5])
     def test_non_rational_coefficient_rejected(self, lead):

@@ -1,13 +1,15 @@
 """Quartic and quintic invariants: dual routes, pinned values, the degree-36
 relation, discriminant identities, canonizant constants, graded dimensions."""
 
+import json
 import pathlib
 import random
 from fractions import Fraction
 
 import pytest
-from conftest import draw_coefficient
+from conftest import draw_coefficient, run_cli
 
+from binform import invariants
 from binform.beauville import quartic_of_root
 from binform.forms import (
     BinaryForm,
@@ -78,6 +80,13 @@ class TestQuarticInvariants:
     def test_discriminant_factor(self):
         inv = QuarticInvariants(Fraction(2), Fraction(1))
         assert inv.discriminant == 256 * (8 - 27)
+
+    def test_repr(self):
+        assert repr(quartic_invariants(BinaryForm([1, 0, 0, 0, 1]))) \
+            == "QuarticInvariants(S=Fraction(1, 1), T=Fraction(0, 1))"
+        x, y = MPoly.variable("x"), MPoly.variable("y")
+        assert repr(quartic_invariants(BinaryForm([x, 0, 0, 0, y]))) \
+            == "QuarticInvariants(S=MPoly('x*y'), T=Fraction(0, 1))"
 
     def test_equal_pairs_hash_equal(self):
         q = MPoly.variable("q")
@@ -296,6 +305,15 @@ class TestQuinticInvariants:
         assert set(payload) == {"J", "K", "L", "H", "Disc"}
         assert Fraction(payload["J"]) == vector.J
 
+    def test_repr(self):
+        assert repr(quintic_invariants(BinaryForm([1, 0, 0, 0, 0, 1]))) \
+            == ("InvariantVector(J=Fraction(1, 1), K=Fraction(0, 1),"
+                " L=Fraction(0, 1), H=Fraction(0, 1), Disc=Fraction(3125, 1))")
+        u, v = MPoly.variable("u"), MPoly.variable("v")
+        assert repr(InvariantVector(u, 0, v ** 3, Fraction(-1, 2))) \
+            == ("InvariantVector(J=MPoly('u'), K=Fraction(0, 1),"
+                " L=MPoly('v^3'), H=Fraction(-1, 2), Disc=MPoly('3125*u^2'))")
+
     def test_symbolic_vector_refuses_json(self):
         vector = quintic_invariants(generic_form(5))
         with pytest.raises(TypeError, match="numeric"):
@@ -404,6 +422,12 @@ class TestSylvesterFamily:
         form = sylvester_specialize(point)
         assert form.coeffs[1] == -5 * MPoly.variable("w")
 
+    def test_repr(self):
+        assert repr(SylvesterPoint(1, Fraction(2, 3), -1)) \
+            == "SylvesterPoint(Fraction(1, 1), Fraction(2, 3), Fraction(-1, 1))"
+        assert repr(SylvesterPoint.symbolic()) \
+            == "SylvesterPoint(MPoly('u'), MPoly('v'), MPoly('w'))"
+
     def test_text_parameter_rejected(self):
         with pytest.raises(TypeError, match="exact rational"):
             SylvesterPoint("1", 1, 1)
@@ -424,6 +448,22 @@ class TestDiscriminantIdentity:
         assert report["symbolic_canonical"]
         assert report["numeric_random"]
         assert report["numeric_samples"] == 20
+
+    def test_mismatch_is_reported(self, monkeypatch):
+        # a discriminant off by one on numeric forms only: the symbolic
+        # check still holds, the numeric one fails, and the command exits 1
+        exact = invariants.discriminant
+
+        def off_on_numbers(form):
+            symbolic = any(isinstance(c, MPoly) for c in form.coeffs)
+            return exact(form) + (0 if symbolic else 1)
+
+        monkeypatch.setattr(invariants, "discriminant", off_on_numbers)
+        report = {"symbolic_canonical": True, "numeric_samples": 20,
+                  "numeric_random": False, "holds": False}
+        assert verify_disc() == report
+        code, out, _ = run_cli(["verify", "disc"])
+        assert code == 1 and json.loads(out) == report
 
     def test_seed_determinism(self):
         assert verify_disc(seed=5) == verify_disc(seed=5)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from binform import mpoly
 from binform.mpoly import (
     MPoly,
     _rehomogenize,
@@ -218,6 +219,56 @@ class TestCalculusAndSubstitution:
         p = X ** 2 + Y
         assert p.substitute({"x": 3}) == Y + 9
 
+    def test_substitute_swaps_simultaneously(self):
+        f = X ** 2 * Y + 3 * Y - X
+        assert f.substitute({"x": Y, "y": X}) == Y ** 2 * X + 3 * X - Y
+
+    def test_substitute_renames_apart_of_names_in_use(self):
+        # names the raw constructor accepts and MPoly.variable refuses: the
+        # images mention bound variables, and no renamed variable may clash
+        # with a name already in use
+        def raw(name):
+            return MPoly((name,), {(1,): 1})
+
+        x1, x2, ab = raw("x'"), raw("x''"), raw("a-b")
+        f = MPoly(("x", "x'", "x''", "a-b"),
+                  {(2, 1, 0, 0): 1, (0, 1, 0, 1): -2, (1, 0, 1, 0): 5,
+                   (0, 0, 0, 0): 7})
+        got = f.substitute({"x": x1, "x'": X * ab + 1})
+        p, q = x1, X * ab + 1
+        assert got == p ** 2 * q - 2 * q * ab + 5 * p * x2 + 7
+        assert got.variables == ("a-b", "x", "x'", "x''")
+
+    def test_substitute_zero_fraction_and_polynomial_in_one_call(self):
+        f = X ** 3 * Y + X * Z ** 2 + Y * Z ** 2 + 5
+        u, v = MPoly.variable("u"), MPoly.variable("v")
+        image = u + v ** 2 / 2 - 1
+        got = f.substitute({"x": 0, "y": Fraction(2, 3), "z": image})
+        assert got == Fraction(2, 3) * image ** 2 + 5
+        assert got.variables == ("u", "v")
+
+    def test_substitute_powers_by_squaring(self, monkeypatch):
+        # a binding of two terms raised to 1024: repeated squaring takes a
+        # dozen products, where a list of every power takes 1023
+        f = X ** 1024 + X
+        kernel = mpoly._addmul
+        products = 0
+
+        def counted(*args):
+            nonlocal products
+            products += 1
+            if products > 64:
+                raise AssertionError("more than 64 products")
+            return kernel(*args)
+
+        monkeypatch.setattr(mpoly, "_addmul", counted)
+        got = f.substitute({"x": Y + Z})
+        monkeypatch.undo()
+        assert products <= 64
+        assert got.variables == ("y", "z") and len(got) == 1027
+        assert got.coefficient("z", 0) == Y ** 1024 + Y
+        assert got.evaluate({"y": 1, "z": 1}) == 2 ** 1024 + 2
+
     def test_coefficient_reconstruction(self):
         rng = random.Random(23)
         # random polynomials, then gaps in the degrees of x, the zero
@@ -236,6 +287,11 @@ class TestCalculusAndSubstitution:
             assert sum((c * X ** k for k, c in enumerate(split)),
                        MPoly.zero()) == f
 
+    def test_dense_ints_need_one_variable(self):
+        with pytest.raises(ValueError,
+                           match="^not a polynomial in one variable$"):
+            (X * Y)._dense_ints(2)
+
     def test_coefficient_drops_the_variable(self):
         p = X ** 2 * Y + X ** 2
         c = p.coefficient("x", 2)
@@ -252,6 +308,11 @@ class TestTextFormat:
         p = MPoly(("x", "y"), {(0, 0): 1, (1, 1): Fraction(-2, 3),
                                (2, 0): 1})
         assert format_poly(p) == "x^2 - 2/3*x*y + 1"
+
+    def test_repr(self):
+        assert repr(MPoly.zero()) == "MPoly('0')"
+        assert repr(X ** 2 - Fraction(2, 3) * X * Y + 1) \
+            == "MPoly('x^2 - 2/3*x*y + 1')"
 
 
 class TestExponentOverflow:
@@ -283,11 +344,11 @@ class TestExponentOverflow:
 
     def test_substitute_each_kind_of_binding(self):
         f = X ** 2 * Y + Z
-        # a one-term binding, applied as a key remap
+        # a one-term binding
         assert f.substitute({"x": X ** 32767, "y": Z}).total_degree() == 65535
         with pytest.raises(OverflowError):
             f.substitute({"x": X ** 32767 * Y})
-        # a binding of several terms, expanded per group
+        # a binding of several terms
         assert f.substitute({"x": X ** 32767 + Y}).total_degree() == 65535
         with pytest.raises(OverflowError):
             f.substitute({"x": X ** 32767 * Y + 1})
@@ -295,6 +356,17 @@ class TestExponentOverflow:
         g = X ** 40000 * Y ** 25535
         assert g.substitute({"y": 3}) == 3 ** 25535 * X ** 40000
         assert not g.substitute({"y": 0})
+
+    def test_substitute_checks_terms_that_vanish(self):
+        # a term sent to 0, or cancelled by another, still has its degree
+        # checked with the other images
+        W = MPoly.variable("w")
+        with pytest.raises(OverflowError):
+            (X ** 40000 * Y + 1).substitute({"y": 0, "x": Z ** 2})
+        with pytest.raises(OverflowError):
+            (X ** 40000 * (Y - Z)).substitute({"y": W, "z": W, "x": Z ** 2})
+        assert not (X ** 30000 * (Y - Z)).substitute(
+            {"y": W, "z": W, "x": Z ** 2})
 
     def test_from_terms(self):
         with pytest.raises(OverflowError):
