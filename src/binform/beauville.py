@@ -76,8 +76,8 @@ class JKLPolynomial:
     """A polynomial in the three basic invariants, stored sparsely.
 
     Keys are exponent triples (a1, a2, a3) for the monomial
-    L**a1 * K**a2 * J**a3; values are exact rationals.  When ``degree`` is
-    given every stored triple must have 12*a1 + 8*a2 + 4*a3 equal to it.
+    L**a1 * K**a2 * J**a3; values are exact rationals.  When ``degree``,
+    an int, is given every triple must have 12*a1 + 8*a2 + 4*a3 equal to it.
     """
 
     __slots__ = ("terms", "degree")
@@ -92,6 +92,8 @@ class JKLPolynomial:
             if value:
                 clean[key] = value
         if degree is not None:
+            if isinstance(degree, bool) or not isinstance(degree, int):
+                raise TypeError(f"degree {degree!r} is not an int")
             for triple in clean:
                 if _triple_degree(triple) != degree:
                     raise ValueError(
@@ -302,7 +304,7 @@ def quartic_of_root(a, lam) -> BinaryForm:
     return BinaryForm([1, b1, b2, b3, lam * b3 + a4])
 
 
-def build_phi(quartic: BinaryForm, z: str = "z") -> MPoly:
+def build_phi(quartic: BinaryForm) -> MPoly:
     """The z-linear polynomial (S^3 - 27 T^2) z - S^3 of a quartic.
 
     With the companion quartic of a root plugged in, this has degree at most
@@ -319,11 +321,11 @@ def build_phi(quartic: BinaryForm, z: str = "z") -> MPoly:
     (vs, d), s, t = _scaled_quartic(quartic)
     _check_degree(max(3 * _max_degree((s,), vs), 2 * _max_degree((t,), vs))
                   + 1)
-    universe = tuple(sorted({*vs, z})) if (set(s) | set(t)) - {0} else (z,)
+    universe = tuple(sorted({*vs, "z"} if (set(s) | set(t)) - {0} else {"z"}))
     s, t = (_remap_terms(x, vs, universe) for x in (s, t))
     s3 = _addmul({}, s, _addmul({}, s, s), 4)
     phi = _addmul({k: -c for k, c in s3.items()},
-                  MPoly.variable(z).in_universe(universe)._terms,
+                  MPoly.variable("z").in_universe(universe)._terms,
                   _addmul(dict(s3), t, t, -1))
     return MPoly._make(universe, phi, 6912 * d ** 6)
 
@@ -334,7 +336,7 @@ def _core_pipeline(tail) -> TschirnhausTrace:
     mode.  The trace's r_bar is the resultant the entries are read from."""
     lam = MPoly.variable("lam")
     quartic = quartic_of_root(tail[:4], lam)
-    phi = build_phi(quartic, "z")
+    phi = build_phi(quartic)
     _, phi_bar = monic_divrem(phi, lam * quartic.coeffs[4] + tail[4], "lam")
     r_bar = resultant(BinaryForm([1, *tail]),
                       BinaryForm(_split(phi_bar, "lam", 4)))
@@ -623,26 +625,23 @@ def _table_json(table: JKLPolynomial, basis):
     return out
 
 
-def verify_keyprop(expected=KEYPROP_TABLES, vector=None) -> dict:
+def verify_keyprop() -> dict:
     """Run the symbolic pipeline and compare all six decompositions with the
-    expected closed forms, coefficient by coefficient.
+    expected closed forms ``KEYPROP_TABLES``, coefficient by coefficient.
 
     Returns a JSON-ready report: the overall and per-entry match flags and
     coefficient tables (the command line's ``--timing`` adds the wall-clock
-    seconds).  Passing a tampered ``expected`` tuple flips
-    exactly the affected entries — the sensitivity check used in tests.
-    ``vector`` reuses a precomputed symbolic pipeline output instead of
-    recomputing it (the decomposition and comparison still run in full).
+    seconds).  A mismatched entry also lists its expected table and the
+    coefficients that differ.
     """
-    if vector is None:
-        generic = BinaryForm([MPoly.variable(n) for n in _COEFF_NAMES])
-        vector, _ = beauville_pipeline(generic)
+    generic = BinaryForm([MPoly.variable(n) for n in _COEFF_NAMES])
+    vector, _ = beauville_pipeline(generic)
     basis = monomial_basis(24)
     entries = []
     all_match = True
     for i in range(6):
         computed = decompose_in_JKL(vector.b[i], 24)
-        match = computed == expected[i]
+        match = computed == KEYPROP_TABLES[i]
         all_match = all_match and match
         entry = {
             "index": i,
@@ -650,14 +649,14 @@ def verify_keyprop(expected=KEYPROP_TABLES, vector=None) -> dict:
             "coefficients": _table_json(computed, basis),
         }
         if not match:
-            entry["expected"] = _table_json(expected[i], basis)
+            entry["expected"] = _table_json(KEYPROP_TABLES[i], basis)
             entry["differences"] = [
                 {"L": t[0], "K": t[1], "J": t[2],
                  "computed": str(computed.terms.get(t, Fraction(0))),
-                 "expected": str(expected[i].terms.get(t, Fraction(0)))}
+                 "expected": str(KEYPROP_TABLES[i].terms.get(t, Fraction(0)))}
                 for t in basis
                 if computed.terms.get(t, Fraction(0))
-                != expected[i].terms.get(t, Fraction(0))]
+                != KEYPROP_TABLES[i].terms.get(t, Fraction(0))]
         entries.append(entry)
     return {"all_match": all_match, "entries": entries}
 
@@ -716,7 +715,7 @@ def thm48_decompose(alpha):
     b1, g1 = divmod(a1, 4)
     b2, g2 = divmod(a2, 6)
     b3, g3 = divmod(a3, 12)
-    remainder_degree = 12 * g1 + 8 * g2 + 4 * g3
+    remainder_degree = _triple_degree((g1, g2, g3))
     factors = []
     if remainder_degree == 48:
         factors.append((g1, g2, g3))

@@ -425,13 +425,13 @@ def sylvester_invariants(point: SylvesterPoint) -> InvariantVector:
 # batch verifications (used by the command line front end)
 # ---------------------------------------------------------------------------
 
-def verify_disc(samples: int = 20, seed: int = 0) -> dict:
+def verify_disc(seed: int = 0) -> dict:
     """Dual-route discriminant check: Disc(F) == 5**5 * (J**2 - 128*K).
 
     The left side always comes from the resultant of the two partial
     derivatives, the right side from the transvectant-route invariants.
     Checked symbolically on the canonical family (u, v, w indeterminate) and
-    numerically on ``samples`` seeded random integer quintics.
+    numerically on 20 seeded random integer quintics.
     """
     point = SylvesterPoint.symbolic()
     form = sylvester_specialize(point)
@@ -440,7 +440,7 @@ def verify_disc(samples: int = 20, seed: int = 0) -> dict:
 
     rng = random.Random(seed)
     numeric_ok = True
-    for _ in range(samples):
+    for _ in range(20):
         coeffs = [rng.randrange(-9, 10) for _ in range(6)]
         form = BinaryForm(coeffs)
         if discriminant(form) != quintic_invariants(form).Disc:
@@ -448,7 +448,7 @@ def verify_disc(samples: int = 20, seed: int = 0) -> dict:
             break
     return {
         "symbolic_canonical": symbolic_ok,
-        "numeric_samples": samples,
+        "numeric_samples": 20,
         "numeric_random": numeric_ok,
         "holds": symbolic_ok and numeric_ok,
     }

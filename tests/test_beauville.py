@@ -3,6 +3,7 @@ degree-48 products, factor splitting, equivalence, and five-point data."""
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 from math import comb, isqrt, prod
 
@@ -80,6 +81,15 @@ class TestJKLPolynomial:
             JKLPolynomial({(1, 0, 0): 1}, degree=24)
         with pytest.raises(ValueError, match="negative"):
             JKLPolynomial({(-1, 0, 0): 1})
+
+    @pytest.mark.parametrize("degree", [24.0, "24", "x", True])
+    def test_degree_is_an_int_or_none(self, degree):
+        # 24.0 was accepted and squared to 48.0, and "x" was accepted on
+        # the zero polynomial
+        message = f"^degree {re.escape(repr(degree))} is not an int$"
+        for terms in ({(2, 0, 0): 1}, {}):
+            with pytest.raises(TypeError, match=message):
+                JKLPolynomial(terms, degree=degree)
 
     def test_float_coefficient_rejected(self):
         with pytest.raises(TypeError, match="exact rational"):
@@ -193,7 +203,7 @@ class TestBuildPhi:
     def test_shape(self):
         lam = MPoly.variable("lam")
         tail = [MPoly.variable(f"a{i}") for i in range(1, 5)]
-        phi = build_phi(quartic_of_root(tail, lam), "z")
+        phi = build_phi(quartic_of_root(tail, lam))
         assert phi.degree("z") == 1
         assert phi.degree("lam") <= 12
 
@@ -230,7 +240,7 @@ class TestBuildPhi:
         tail = [Fraction(c) for c in (-15, 85, -225, 274, -120)]
         lam = Fraction(2)
         quartic = quartic_of_root(tail[:4], lam)
-        phi = build_phi(quartic, "z")
+        phi = build_phi(quartic)
         a = phi.coefficient("z", 1).constant_value()
         b = phi.coefficient("z", 0).constant_value()
         assert Fraction(-b, a) == j_invariant(quartic)
@@ -479,20 +489,25 @@ class TestSymbolicPipeline:
         assert hashlib.sha256(text.encode()).hexdigest() \
             == "ac52d686a81d5261cbc000b0610d1d3e93d07501fbe63768b15e3c0be771cbba"
 
-    def test_verify_keyprop_with_reused_vector(self, symbolic_vector):
-        vector, _ = symbolic_vector
-        report = verify_keyprop(vector=vector)
+    def test_verify_keyprop_with_reused_vector(self, symbolic_vector,
+                                               monkeypatch):
+        monkeypatch.setattr(beauville, "beauville_pipeline",
+                            lambda form: symbolic_vector)
+        report = verify_keyprop()
         assert report["all_match"]
         assert list(report) == ["all_match", "entries"]
         assert [e["index"] for e in report["entries"]] == list(range(6))
         assert all(e["match"] for e in report["entries"])
 
-    def test_tampered_expectation_flips_one_entry(self, symbolic_vector):
-        vector, _ = symbolic_vector
+    def test_tampered_expectation_flips_one_entry(self, symbolic_vector,
+                                                  monkeypatch):
         tampered = list(KEYPROP_TABLES)
         tampered[3] = tampered[3] + JKLPolynomial({(0, 0, 6): Fraction(1, 7)},
                                                   degree=24)
-        report = verify_keyprop(tuple(tampered), vector=vector)
+        monkeypatch.setattr(beauville, "KEYPROP_TABLES", tuple(tampered))
+        monkeypatch.setattr(beauville, "beauville_pipeline",
+                            lambda form: symbolic_vector)
+        report = verify_keyprop()
         assert not report["all_match"]
         assert [e["match"] for e in report["entries"]] \
             == [True, True, True, False, True, True]

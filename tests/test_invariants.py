@@ -467,7 +467,7 @@ class TestDiscriminantIdentity:
 
     def test_seed_determinism(self):
         assert verify_disc(seed=5) == verify_disc(seed=5)
-        assert verify_disc(samples=7, seed=9)["holds"]
+        assert verify_disc(seed=9)["holds"]
 
     def test_direct_identity_numeric(self):
         rng = random.Random(59)

@@ -110,6 +110,28 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"^bad variable name: '1x'$"):
             MPoly.variable("1x")
 
+    @pytest.mark.parametrize("name", ["", "1x", "x*y", "a b", "x'"])
+    def test_every_constructor_has_the_one_name_rule(self, name):
+        # a name that is not an identifier could print as something else:
+        # "" as the constant 1, "x*y" as a product
+        message = f"^bad variable name: {re.escape(repr(name))}$"
+        for build in (lambda: MPoly((name,), {(1,): 1}),
+                      lambda: MPoly.variable(name),
+                      lambda: MPoly.zero((name,)),
+                      lambda: MPoly.constant(3, ("x", name)),
+                      lambda: X.in_universe(("x", name))):
+            with pytest.raises(ValueError, match=message):
+                build()
+
+    @pytest.mark.parametrize("name", [1, None, b"x", ("x",)])
+    def test_a_name_that_is_not_a_str_is_a_type_error(self, name):
+        message = f"^variable name {re.escape(repr(name))} is not a str$"
+        for build in (lambda: MPoly(("x", name), {}),
+                      lambda: MPoly.variable(name),
+                      lambda: X.in_universe(("x", name))):
+            with pytest.raises(TypeError, match=message):
+                build()
+
     @pytest.mark.parametrize("e", [True, False, 1.0, Fraction(1), "1"])
     def test_exponents_are_ints(self, e):
         message = f"^exponent {re.escape(repr(e))} is not an int$"
@@ -224,20 +246,17 @@ class TestCalculusAndSubstitution:
         assert f.substitute({"x": Y, "y": X}) == Y ** 2 * X + 3 * X - Y
 
     def test_substitute_renames_apart_of_names_in_use(self):
-        # names the raw constructor accepts and MPoly.variable refuses: the
-        # images mention bound variables, and no renamed variable may clash
-        # with a name already in use
-        def raw(name):
-            return MPoly((name,), {(1,): 1})
-
-        x1, x2, ab = raw("x'"), raw("x''"), raw("a-b")
-        f = MPoly(("x", "x'", "x''", "a-b"),
+        # the images mention bound variables, so the bound variables are
+        # renamed apart; the suffixes _ and __ would give x_ and x__, which
+        # are in use, and no renamed variable may clash with them
+        x1, x2, ab = (MPoly.variable(v) for v in ("x_", "x__", "a_b"))
+        f = MPoly(("x", "x_", "x__", "a_b"),
                   {(2, 1, 0, 0): 1, (0, 1, 0, 1): -2, (1, 0, 1, 0): 5,
                    (0, 0, 0, 0): 7})
-        got = f.substitute({"x": x1, "x'": X * ab + 1})
+        got = f.substitute({"x": x1, "x_": X * ab + 1})
         p, q = x1, X * ab + 1
         assert got == p ** 2 * q - 2 * q * ab + 5 * p * x2 + 7
-        assert got.variables == ("a-b", "x", "x'", "x''")
+        assert got.variables == ("a_b", "x", "x_", "x__")
 
     def test_substitute_zero_fraction_and_polynomial_in_one_call(self):
         f = X ** 3 * Y + X * Z ** 2 + Y * Z ** 2 + 5
@@ -292,14 +311,22 @@ class TestCalculusAndSubstitution:
                            match="^not a polynomial in one variable$"):
             (X * Y)._dense_ints(2)
 
+    @pytest.mark.parametrize("power", [True, 1.0, "1"])
+    def test_coefficient_power_is_an_int(self, power):
+        p = X ** 2 * Y + X * Y
+        message = f"^exponent {re.escape(repr(power))} is not an int$"
+        with pytest.raises(TypeError, match=message):
+            p.coefficient("x", power)
+
     def test_coefficient_drops_the_variable(self):
         p = X ** 2 * Y + X ** 2
         c = p.coefficient("x", 2)
         assert "x" not in c.variables
         assert c == Y + 1
-        # above the degree: zero over the remaining universe
-        above = p.coefficient("x", 3)
-        assert not above and above.variables == ("y",)
+        # below 0 or above the degree: zero over the remaining universe
+        for power in (3, -1, 2 ** 70):
+            outside = p.coefficient("x", power)
+            assert not outside and outside.variables == ("y",)
 
 
 class TestTextFormat:
@@ -421,6 +448,14 @@ class TestMonicDivision:
             monic_divrem(X ** 2, 2 * X + 1, "x")
         with pytest.raises(ValueError, match="not monic"):
             monic_divrem(X ** 2, Y * X + 1, "x")
+        # a lead of two terms, 1 + y
+        with pytest.raises(ValueError, match="^divisor is not monic in 'x'$"):
+            monic_divrem(X ** 3, (1 + Y) * X + 1, "x")
+
+    def test_lower_degree_dividend_is_the_remainder(self):
+        f = Fraction(2, 3) * X * Y + Z
+        q, r = monic_divrem(f, X ** 2 + Y, "x")
+        assert not q and r == f
 
     def test_rejects_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
