@@ -84,8 +84,8 @@ class TestJKLPolynomial:
 
     @pytest.mark.parametrize("degree", [24.0, "24", "x", True])
     def test_degree_is_an_int_or_none(self, degree):
-        # 24.0 was accepted and squared to 48.0, and "x" was accepted on
-        # the zero polynomial
+        # a float degree would pass into products (24.0 squared is 48.0),
+        # and a str one would be checked only against a term
         message = f"^degree {re.escape(repr(degree))} is not an int$"
         for terms in ({(2, 0, 0): 1}, {}):
             with pytest.raises(TypeError, match=message):
