@@ -33,7 +33,8 @@ from .invariants import (
 )
 from .mpoly import (_BITS, _MASK, MPoly, _addmul, _as_exact, _as_fraction,
                     _check_degree, _cleared, _int_exponent, _max_degree,
-                    _monomials, _rehomogenize, _remap_terms, monic_divrem)
+                    _monomials, _product, _rehomogenize, _remap_terms,
+                    monic_divrem)
 
 __all__ = [
     "JKLPolynomial",
@@ -535,7 +536,7 @@ def _canonical_family(degree: int) -> tuple:
     closed = sylvester_invariants(point)
     bases = [p.in_universe(_UVW)._terms
              for p in (closed.L, closed.K, closed.J)]
-    columns = _monomials(basis, bases, {0: 1}, lambda f, g: _addmul({}, f, g))
+    columns = _monomials(basis, bases, {0: 1}, _product)
     return bindings, basis, tuple(columns)
 
 

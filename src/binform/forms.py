@@ -104,11 +104,10 @@ class BinaryForm:
         return (a[0], a[1] / 4, a[2] / 6, a[3] / 4, a[4])
 
     def to_mpoly(self, x1: str = "x1", x2: str = "x2") -> MPoly:
-        v1, v2 = MPoly.variable(x1), MPoly.variable(x2)
         p = self.order
         acc = MPoly.zero((x1, x2))
         for i, c in enumerate(self.coeffs):
-            acc = acc + c * v1 ** (p - i) * v2 ** i
+            acc = acc + c * MPoly((x1, x2), {(p - i, i): 1})
         return acc
 
     def diff_x1(self) -> "BinaryForm":

@@ -68,20 +68,6 @@ def _addmul(acc: dict, f: dict, g: dict, sign: int = 1) -> dict:
     return acc
 
 
-def _power(terms: dict, e: int) -> dict:
-    """The int terms to the int power e >= 0 by repeated squaring (Knuth,
-    TAOCP Vol. 2, 4.6.3), with zero coefficients kept as ``_addmul`` keeps
-    them.  The result may be terms itself: callers only read it."""
-    power = None
-    while e:
-        if e & 1:
-            power = terms if power is None else _addmul({}, power, terms)
-        e >>= 1
-        if e:
-            terms = _addmul({}, terms, terms)
-    return {0: 1} if power is None else power
-
-
 def _split(terms: dict, sh: int, dsh: int) -> dict:
     """Int terms, with their degree field at shift dsh, grouped by their
     exponent e in the variable at shift sh: e -> the cofactors of that
@@ -105,19 +91,36 @@ def _scaled(terms: dict, s: int) -> dict:
     return dict(terms) if s == 1 else {k: c * s for k, c in terms.items()}
 
 
+def _product(f: dict, g: dict) -> dict:
+    """f * g as a new int term dict; ``_addmul`` is looked up at each call."""
+    return _addmul({}, f, g)
+
+
 def _monomials(exponents, bases, one=1, mul=operator.mul) -> list:
-    """The product of bases[s] ** e[s] for each exponent tuple e: the one
-    power cache, with ``one`` and ``mul`` the bases' unit and product.  A
-    result may be a base or a cached power itself: callers only read it."""
-    powers = [[one, base] for base in bases]  # powers[s][e] == bases[s] ** e
+    """The product of bases[s] ** e[s] for each exponent tuple e, with
+    ``one`` and ``mul`` the bases' unit and product: the one power routine.
+    A power is made once, when first asked for: times the base when the
+    power below it is made, else from the halves e // 2 and e - e // 2
+    (Knuth, TAOCP Vol. 2, 4.6.3).  So each distinct exponent costs one
+    product, and a lone e about log2 e.  A result may be a base or a made
+    power itself: callers only read it."""
+    powers = [{0: one, 1: base} for base in bases]  # e -> bases[s] ** e
     out = []
     for exps in exponents:
         monomial = None
         for pw, e in zip(powers, exps):
-            if e:
-                while len(pw) <= e:
-                    pw.append(mul(pw[-1], pw[1]))
-                monomial = pw[e] if monomial is None else mul(monomial, pw[e])
+            if not e:
+                continue
+            todo = [e]  # a stack, not recursion: e may halve 1000 times
+            while todo:
+                d = todo.pop()
+                # d - 1 and the base when d - 1 is made, else d's two halves
+                lo = d - 1 if d - 1 in pw else d // 2
+                if d not in pw and lo in pw and d - lo in pw:
+                    pw[d] = mul(pw[lo], pw[d - lo])
+                elif d not in pw:
+                    todo += (d, d - lo, lo)     # lo is made first
+            monomial = pw[e] if monomial is None else mul(monomial, pw[e])
         out.append(one if monomial is None else monomial)
     return out
 
@@ -170,6 +173,8 @@ class MPoly:
                  terms: Mapping[tuple, Scalar]):
         """Terms map exponent vectors, in the order of ``variables``, to
         ints or Fractions; the stored universe is sorted."""
+        if isinstance(variables, str):
+            raise TypeError(f"universe {variables!r} is a str, not a sequence")
         names = tuple(variables)
         for v in names:     # the one name rule: identifiers print as such
             if not isinstance(v, str):
@@ -226,7 +231,7 @@ class MPoly:
 
     @classmethod
     def constant(cls, value: Scalar, variables: Sequence[str] = ()) -> "MPoly":
-        vs = tuple(variables)
+        vs = cls(variables, {})._vars     # checks the universe
         return cls(vs, {(0,) * len(vs): value})
 
     @classmethod
@@ -394,8 +399,8 @@ class MPoly:
             raise ValueError("exponent must be a nonnegative integer")
         if self._terms:
             _check_degree(self.total_degree() * exponent)
-        return MPoly._make(self._vars, _power(self._terms, exponent),
-                           self._den ** exponent)
+        power, = _monomials([(exponent,)], [self._terms], {0: 1}, _product)
+        return MPoly._make(self._vars, power, self._den ** exponent)
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -423,11 +428,12 @@ class MPoly:
         Bindings for variables outside the universe are inert.  Unbound
         variables pass through unchanged.  Each bound variable v takes one
         pass: the terms are split by their exponent e in v, as
-        ``coefficients`` splits them, and each part is multiplied once by
-        the e-th power of v's image, taken by repeated squaring.  Everything
-        runs on the stored ints: an image over d != 1, for a v of degree D,
-        scales the part of exponent e by d**(D - e), and the result's
-        denominator by d**D.  Scalars and 0 go first, as they only lower
+        ``coefficients`` splits them.  Every part's degree is checked, then
+        each part, in increasing e, is multiplied once by the e-th power of
+        v's image from ``_monomials``.
+        Everything runs on the stored ints: an image over d != 1, for a v of
+        degree D, scales the part of exponent e by d**(D - e), and the
+        result's denominator by d**D.  Scalars and 0 go first, as they only lower
         degrees, then the images by their number of terms, fewest first.
         No term is pruned between passes, so each part's degree check
         covers every term, cancelled or not.  When an image mentions a
@@ -456,12 +462,13 @@ class MPoly:
             image = _remap_terms(b._terms, b._vars, vs) or {0: 0}
             grow = max(b.total_degree(), 0)
             split = _split(terms, (len(vs) - 1 - vs.index(v)) * _BITS, dsh)
-            top = max(split)
+            es = sorted(split)  # increasing, so dense powers step up by one
+            _check_degree(max((max(split[e]) >> dsh) + e * grow for e in es))
             terms = {}
-            for e, part in split.items():
-                _check_degree((max(part) >> dsh) + e * grow)
-                _addmul(terms, part, _power(image, e), b._den ** (top - e))
-            den *= b._den ** top
+            for e, power in zip(es, _monomials([(e,) for e in es], [image],
+                                               {0: 1}, _product)):
+                _addmul(terms, split[e], power, b._den ** (es[-1] - e))
+            den *= b._den ** es[-1]
         keep = tuple(v for v in vs if v not in bound)
         return MPoly._make(keep, _remap_terms(terms, vs, keep), den)
 

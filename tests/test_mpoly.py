@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from binform import mpoly
 from binform.mpoly import (
     MPoly,
+    _monomials,
     _rehomogenize,
     det_fraction_free,
     format_poly,
@@ -132,6 +133,25 @@ class TestConstruction:
             with pytest.raises(TypeError, match=message):
                 build()
 
+    @pytest.mark.parametrize("build, text", [
+        (lambda: MPoly("lam", {(1, 0, 0): 1}), "lam"),
+        (lambda: MPoly.zero("lam"), "lam"),
+        (lambda: X.in_universe("xyz"), "xyz"),
+        (lambda: MPoly.constant(1, "xy"), "xy"),
+    ], ids=["constructor", "zero", "in_universe", "constant"])
+    def test_a_str_universe_is_a_type_error(self, build, text):
+        # a str would be read as the sequence of its letters: "lam" as the
+        # universe a, l, m
+        message = f"^universe '{text}' is a str, not a sequence$"
+        with pytest.raises(TypeError, match=message):
+            build()
+
+    def test_generators_and_sets_are_universes(self):
+        assert MPoly.zero(v for v in ("y", "x")).variables == ("x", "y")
+        assert MPoly.zero({"x", "y"}).variables == ("x", "y")
+        assert MPoly.constant(3, (v for v in ("x",))) == 3
+        assert X.in_universe({"x", "y"}).variables == ("x", "y")
+
     @pytest.mark.parametrize("e", [True, False, 1.0, Fraction(1), "1"])
     def test_exponents_are_ints(self, e):
         message = f"^exponent {re.escape(repr(e))} is not an int$"
@@ -197,11 +217,60 @@ class TestRingAxioms:
         with pytest.raises(ValueError):
             X ** -1
 
+    def test_huge_powers_of_degree_zero(self):
+        # a degree-0 power passes the degree check at any exponent, so
+        # making it must not recurse once per halving
+        assert MPoly.constant(1) ** 2 ** 1000 == 1
+        assert MPoly.zero(("x",)) ** (2 ** 1000 + 1) == 0
+        assert MPoly.constant(-1) ** (2 ** 1000 + 1) == -1
+
     def test_disjoint_variable_alignment(self):
         p = X + 1
         q = Y + 1
         assert (p * q).variables == ("x", "y")
         assert (p * q).evaluate({"x": 2, "y": 3}) == 12
+
+
+class TestPowerRoutine:
+    # mpoly._monomials makes each power of a base once, when first asked
+    # for: times the base when the power below it is made, else from its
+    # two halves
+
+    @staticmethod
+    def counting(mul):
+        made = []
+
+        def counted(f, g):
+            made.append(mul(f, g))
+            return made[-1]
+
+        return counted, made
+
+    def test_a_lone_exponent_takes_about_log2_products(self):
+        mul, made = self.counting(lambda f, g: f * g)
+        assert _monomials([(1024,)], [3], 1, mul) == [3 ** 1024]
+        assert len(made) <= 11      # a list of every power takes 1023
+
+    @pytest.mark.parametrize("order", [range(25), range(24, -1, -1)],
+                             ids=["increasing", "decreasing"])
+    def test_each_dense_exponent_costs_one_product(self, order):
+        mul, made = self.counting(lambda f, g: f * g)
+        exponents = [(e,) for e in order]
+        assert _monomials(exponents, [3], 1, mul) == [3 ** e for e in order]
+        assert len(made) == 23      # one for each of the powers 2 .. 24
+
+    def test_no_power_is_made_twice(self):
+        # with the base 1, the unit 0 and + as the product, each product is
+        # the exponent of the power it makes, so a power made twice repeats
+        rng = random.Random(31)
+        for _ in range(50):
+            exponents = [(rng.randrange(300),)
+                         for _ in range(rng.randrange(1, 12))]
+            mul, made = self.counting(lambda f, g: f + g)
+            assert _monomials(exponents, [1], 0, mul) == [
+                e for e, in exponents]
+            assert len(made) == len(set(made))
+            assert {e for e, in exponents if e > 1} <= set(made)
 
 
 class TestCalculusAndSubstitution:
@@ -267,8 +336,9 @@ class TestCalculusAndSubstitution:
         assert got.variables == ("u", "v")
 
     def test_substitute_powers_by_squaring(self, monkeypatch):
-        # a binding of two terms raised to 1024: repeated squaring takes a
-        # dozen products, where a list of every power takes 1023
+        # a binding of two terms raised to 1024: halving takes a dozen
+        # products, where a list of every power takes 1023.  The lower bound
+        # shows that the products go through the counted kernel at all
         f = X ** 1024 + X
         kernel = mpoly._addmul
         products = 0
@@ -283,10 +353,31 @@ class TestCalculusAndSubstitution:
         monkeypatch.setattr(mpoly, "_addmul", counted)
         got = f.substitute({"x": Y + Z})
         monkeypatch.undo()
-        assert products <= 64
+        assert 10 <= products <= 64
         assert got.variables == ("y", "z") and len(got) == 1027
         assert got.coefficient("z", 0) == Y ** 1024 + Y
         assert got.evaluate({"y": 1, "z": 1}) == 2 ** 1024 + 2
+
+    def test_substitute_steps_dense_powers_up_by_the_image(self,
+                                                           monkeypatch):
+        # 23 powers (y + z)**2 .. **24, one product each, and one product
+        # per part x**0 .. x**24; a fresh squaring per power takes 125
+        f = sum((X ** e for e in range(25)), MPoly.zero())
+        image = Y + Z
+        expected = sum((image ** e for e in range(25)), MPoly.zero())
+        kernel = mpoly._addmul
+        products = 0
+
+        def counted(*args):
+            nonlocal products
+            products += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(mpoly, "_addmul", counted)
+        got = f.substitute({"x": image})
+        monkeypatch.undo()
+        assert 25 <= products <= 48
+        assert got == expected
 
     def test_coefficient_reconstruction(self):
         rng = random.Random(23)

@@ -3,6 +3,10 @@ function and class it defines, and the package exports exactly those."""
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,3 +48,22 @@ def test_packed_key_fields_are_read_in_mpoly_alone():
                    for node in ast.walk(fn)}
         assert reads <= allowed, module.__name__
         assert bool(reads) == (module is beauville)
+
+
+def test_imports_need_only_the_standard_library():
+    # a fresh interpreter: the modules that importing binform and its CLI
+    # adds are binform's own or the standard library's.  Those loaded
+    # before the import, such as the ones site hooks preload, do not count
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import binform, binform.cli\n"
+            "print(*sorted(set(sys.modules) - before))\n")
+    src = str(Path(binform.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    added = {name.partition(".")[0] for name in proc.stdout.split()}
+    assert "binform" in added
+    assert added - {"binform"} <= sys.stdlib_module_names
