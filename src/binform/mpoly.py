@@ -111,7 +111,7 @@ def _monomials(exponents, bases, one=1, mul=operator.mul) -> list:
         for pw, e in zip(powers, exps):
             if not e:
                 continue
-            todo = [e]  # a stack, not recursion: e may halve 1000 times
+            todo = [] if e in pw else [e]   # a stack, not recursion
             while todo:
                 d = todo.pop()
                 # d - 1 and the base when d - 1 is made, else d's two halves
