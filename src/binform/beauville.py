@@ -33,8 +33,8 @@ from .invariants import (
 )
 from .mpoly import (_BITS, _MASK, MPoly, _addmul, _as_exact, _as_fraction,
                     _check_degree, _cleared, _int_exponent, _max_degree,
-                    _monomials, _product, _rehomogenize, _remap_terms,
-                    monic_divrem)
+                    _mentions, _monomials, _product, _rehomogenize,
+                    _remap_terms, monic_divrem)
 
 __all__ = [
     "JKLPolynomial",
@@ -67,41 +67,38 @@ def _triple_degree(triple: tuple) -> int:
 
 
 def _int_triple(triple) -> tuple:
-    """An exponent triple as three ints; any other exponent, a float
-    included, raises TypeError instead of being truncated."""
+    """An exponent triple as three nonnegative ints: a float or bool raises
+    TypeError instead of being truncated, and a negative int ValueError."""
     a1, a2, a3 = triple
-    return _int_exponent(a1), _int_exponent(a2), _int_exponent(a3)
+    key = _int_exponent(a1), _int_exponent(a2), _int_exponent(a3)
+    if min(key) < 0:
+        raise ValueError("exponents must be nonnegative")
+    return key
 
 
 class JKLPolynomial:
     """A polynomial in the three basic invariants, stored sparsely.
 
     Keys are exponent triples (a1, a2, a3) for the monomial
-    L**a1 * K**a2 * J**a3; values are exact rationals.  When ``degree``,
-    an int, is given every triple must have 12*a1 + 8*a2 + 4*a3 equal to it.
+    L**a1 * K**a2 * J**a3; values are exact rationals.
     """
 
-    __slots__ = ("terms", "degree")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms, degree=None):
+    def __init__(self, terms):
         clean = {}
         for triple, value in dict(terms).items():
             key = _int_triple(triple)
-            if min(key) < 0:
-                raise ValueError("negative exponent in JKL monomial")
             value = _as_fraction(value)
             if value:
                 clean[key] = value
-        if degree is not None:
-            if isinstance(degree, bool) or not isinstance(degree, int):
-                raise TypeError(f"degree {degree!r} is not an int")
-            for triple in clean:
-                if _triple_degree(triple) != degree:
-                    raise ValueError(
-                        f"monomial {triple} has degree {_triple_degree(triple)},"
-                        f" not {degree}")
         self.terms = clean
-        self.degree = degree
+
+    @property
+    def degree(self):
+        """12*a1 + 8*a2 + 4*a3 when every term shares it, else None."""
+        degrees = {_triple_degree(t) for t in self.terms}
+        return degrees.pop() if len(degrees) == 1 else None
 
     def items(self):
         """Triples and coefficients, L-exponent then K-exponent descending."""
@@ -113,8 +110,7 @@ class JKLPolynomial:
         out = dict(self.terms)
         for key, value in other.terms.items():
             out[key] = out.get(key, Fraction(0)) + value
-        degree = self.degree if self.degree == other.degree else None
-        return JKLPolynomial(out, degree)
+        return JKLPolynomial(out)
 
     def __sub__(self, other):
         if not isinstance(other, JKLPolynomial):
@@ -128,13 +124,9 @@ class JKLPolynomial:
                 for (y1, y2, y3), d in other.terms.items():
                     key = (x1 + y1, x2 + y2, x3 + y3)
                     out[key] = out.get(key, Fraction(0)) + c * d
-            degree = (self.degree + other.degree
-                      if self.degree is not None and other.degree is not None
-                      else None)
-            return JKLPolynomial(out, degree)
+            return JKLPolynomial(out)
         scalar = _as_fraction(other)
-        return JKLPolynomial({k: c * scalar for k, c in self.terms.items()},
-                             self.degree)
+        return JKLPolynomial({k: c * scalar for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -172,13 +164,13 @@ KEYPROP_TABLES = (
         (0, 2, 2): 2 ** 14 * 3,
         (0, 1, 4): -2 ** 7 * 3,
         (0, 0, 6): 1,
-    }, degree=24),
+    }),
     Fraction(5 ** 16, 2 ** 35 * 3 ** 3) * JKLPolynomial({
         (0, 3, 0): 2 ** 16 * 7,
         (0, 2, 2): -2 ** 10 * 23,
         (0, 1, 4): 2 ** 2 * 71,
         (0, 0, 6): -1,
-    }, degree=24),
+    }),
     Fraction(5 ** 16, 2 ** 30 * 3 ** 6) * JKLPolynomial({
         (1, 1, 1): 2 ** 11 * 5 ** 3,
         (1, 0, 3): -2 ** 4 * 5 ** 3,
@@ -186,7 +178,7 @@ KEYPROP_TABLES = (
         (0, 2, 2): 2 ** 7 * 11 * 13,
         (0, 1, 4): -3 * 131,
         (0, 0, 6): 2,
-    }, degree=24),
+    }),
     Fraction(5 ** 16, 2 ** 25 * 3 ** 9) * JKLPolynomial({
         (2, 0, 0): -2 ** 11 * 5 ** 4,
         (1, 1, 1): -2 ** 9 * 3 * 5 ** 3,
@@ -195,7 +187,7 @@ KEYPROP_TABLES = (
         (0, 2, 2): -2 ** 2 * 23 * 37,
         (0, 1, 4): 3 ** 5,
         (0, 0, 6): -2,
-    }, degree=24),
+    }),
     Fraction(5 ** 16, 2 ** 22 * 3 ** 12) * JKLPolynomial({
         (1, 1, 1): -2 ** 5 * 3 ** 2 * 5 ** 3,
         (1, 0, 3): -5 ** 3 * 29,
@@ -203,13 +195,13 @@ KEYPROP_TABLES = (
         (0, 2, 2): -7 ** 2 * 83,
         (0, 1, 4): -2 ** 2 * 59,
         (0, 0, 6): 2 ** 2,
-    }, degree=24),
+    }),
     Fraction(5 ** 15, 2 ** 15 * 3 ** 15) * JKLPolynomial({
         (0, 3, 0): 3 ** 3,
         (0, 2, 2): -3 ** 3,
         (0, 1, 4): 3 ** 2,
         (0, 0, 6): -1,
-    }, degree=24),
+    }),
 )
 
 
@@ -319,6 +311,9 @@ def build_phi(quartic: BinaryForm) -> MPoly:
     ``quartic_T`` give as numbers, leave z alone in phi's universe.
     """
     _require_order(quartic, 4, "build_phi")
+    if _mentions(quartic.coeffs, "z"):
+        raise ValueError("build_phi needs a quartic free of z: its result"
+                         " is linear in z")
     (vs, d), s, t = _scaled_quartic(quartic)
     _check_degree(max(3 * _max_degree((s,), vs), 2 * _max_degree((t,), vs))
                   + 1)
@@ -370,7 +365,8 @@ def beauville_pipeline(quintic: BinaryForm):
 
     Numeric quintics give a vector of exact rationals; the generic symbolic
     quintic (six distinct coefficient symbols, or a leading 1 with five
-    symbols) gives the six Cartesian polynomials, homogeneous of degree 24.
+    symbols, none of the five named lam or z, which the pipeline uses)
+    gives the six Cartesian polynomials, homogeneous of degree 24.
     A numeric leading coefficient of zero is cured by a determinant-one
     shear, which leaves every entry unchanged.  Returns the vector together
     with the TschirnhausTrace of intermediates.
@@ -401,6 +397,10 @@ def beauville_pipeline(quintic: BinaryForm):
         raise TypeError(
             "symbolic pipeline needs five distinct coefficient symbols"
             " after the leading coefficient")
+    for n in ("lam", "z"):
+        if n in tail_names:
+            raise TypeError(f"symbolic pipeline uses the symbol {n!r} itself;"
+                            " rename that coefficient")
     if lead_name is None:
         if quintic.coeffs[0] != 1:
             raise TypeError(
@@ -515,8 +515,7 @@ def decompose_in_JKL(invariant_poly: MPoly, degree: int) -> JKLPolynomial:
         raise ValueError("not in the J,K,L subring")
     return JKLPolynomial(
         {basis[col]: row[-1] / specialized._den
-         for col, row in zip(pivots, rows)},
-        degree=degree)
+         for col, row in zip(pivots, rows)})
 
 
 _UVW = ("u", "v", "w")
@@ -690,9 +689,7 @@ def prop48_rank():
 def _thm48_degree(alpha) -> int:
     """The degree of a JKL exponent triple that thm48_decompose splits;
     any triple but three nonnegative ints of degree 48k raises."""
-    if min(_int_triple(alpha)) < 0:
-        raise ValueError("exponents must be nonnegative")
-    degree = _triple_degree(alpha)
+    degree = _triple_degree(_int_triple(alpha))
     if degree % 48:
         raise ValueError("degree not divisible by 48")
     return degree

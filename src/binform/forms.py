@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .mpoly import (MPoly, Scalar, _addmul, _as_exact, _as_fraction,
                     _check_degree, _cleared, _int_terms, _max_degree,
-                    _monomials, _universe, det_fraction_free)
+                    _mentions, _monomials, _universe, det_fraction_free)
 
 __all__ = [
     "BinaryForm", "GroupElement",
@@ -52,6 +52,8 @@ class GroupElement:
         return GroupElement(self.d / dt, -self.b / dt, -self.c / dt, self.a / dt)
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
+        if not isinstance(other, GroupElement):
+            return NotImplemented
         return GroupElement(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
@@ -103,11 +105,17 @@ class BinaryForm:
         a = self.coeffs
         return (a[0], a[1] / 4, a[2] / 6, a[3] / 4, a[4])
 
-    def to_mpoly(self, x1: str = "x1", x2: str = "x2") -> MPoly:
+    def to_mpoly(self) -> MPoly:
+        """F as a polynomial in x1, x2 and the coefficient symbols; a
+        coefficient in which x1 or x2 occurs raises ValueError."""
+        for x in ("x1", "x2"):
+            if _mentions(self.coeffs, x):
+                raise ValueError(f"to_mpoly: a coefficient uses {x!r},"
+                                 " a variable of the form")
         p = self.order
-        acc = MPoly.zero((x1, x2))
+        acc = MPoly.zero(("x1", "x2"))
         for i, c in enumerate(self.coeffs):
-            acc = acc + c * MPoly((x1, x2), {(p - i, i): 1})
+            acc = acc + c * MPoly(("x1", "x2"), {(p - i, i): 1})
         return acc
 
     def diff_x1(self) -> "BinaryForm":
@@ -179,6 +187,8 @@ def act(g: GroupElement, form: BinaryForm) -> BinaryForm:
     once by e m^p.
     """
     _require_forms("act", form)
+    if not isinstance(g, GroupElement):
+        raise TypeError(f"act needs a GroupElement, got {type(g).__name__}")
     h = g.inverse()
     (ha, hb, hc, hd), m = _cleared((h.a, h.b, h.c, h.d))
     vs = _universe(form.coeffs)

@@ -149,6 +149,13 @@ def _universe(entries) -> tuple:
                          for v in e._vars}))
 
 
+def _mentions(entries, var: str) -> bool:
+    """Whether var occurs in a term of an MPoly among entries: a universe
+    may also name variables that no term uses."""
+    return any(isinstance(e, MPoly) and var in e._vars and e.degree(var) > 0
+               for e in entries)
+
+
 def _int_terms(entries: Sequence, vs: tuple) -> tuple:
     """Numbers and MPolys over part of the sorted universe vs, as new int
     term dicts over vs times the lcm d of their denominators, and d: a

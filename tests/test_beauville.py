@@ -3,7 +3,6 @@ degree-48 products, factor splitting, equivalence, and five-point data."""
 
 import hashlib
 import random
-import re
 from fractions import Fraction
 from math import comb, isqrt, prod
 
@@ -76,20 +75,39 @@ class TestJKLPolynomial:
             " + -30517578125/470184984576*J^6)")
 
     def test_degree_validation(self):
-        JKLPolynomial({(2, 0, 0): 1, (0, 0, 6): -1}, degree=24)
-        with pytest.raises(ValueError, match="degree"):
-            JKLPolynomial({(1, 0, 0): 1}, degree=24)
+        JKLPolynomial({(2, 0, 0): 1, (0, 0, 6): -1})
         with pytest.raises(ValueError, match="negative"):
             JKLPolynomial({(-1, 0, 0): 1})
 
-    @pytest.mark.parametrize("degree", [24.0, "24", "x", True])
-    def test_degree_is_an_int_or_none(self, degree):
-        # a float degree would pass into products (24.0 squared is 48.0),
-        # and a str one would be checked only against a term
-        message = f"^degree {re.escape(repr(degree))} is not an int$"
-        for terms in ({(2, 0, 0): 1}, {}):
-            with pytest.raises(TypeError, match=message):
-                JKLPolynomial(terms, degree=degree)
+    def test_degree_is_worked_out_from_the_terms(self):
+        assert [t.degree for t in KEYPROP_TABLES] == [24] * 6
+        p = JKLPolynomial({(1, 0, 0): 1, (0, 1, 1): 2})
+        assert p.degree == 12
+        assert (p * KEYPROP_TABLES[0]).degree == 36
+        # a mixed-degree polynomial and the zero polynomial have none
+        assert JKLPolynomial({(1, 0, 0): 1, (0, 0, 1): 1}).degree is None
+        assert JKLPolynomial({}).degree is None
+        assert (p - p).degree is None
+        with pytest.raises(AttributeError):
+            p.degree = 24
+
+    def test_terms_are_the_only_argument(self):
+        with pytest.raises(TypeError):
+            JKLPolynomial({(2, 0, 0): 1}, degree=24)
+        with pytest.raises(TypeError):
+            JKLPolynomial({(2, 0, 0): 1}, 24)
+
+    @pytest.mark.parametrize("triple", [(-1, 0, 0), (0, 0, -4)])
+    def test_one_message_for_a_negative_exponent(self, triple):
+        # the constructor and the factor splitting share one triple rule,
+        # and a zero coefficient does not skip it
+        for value in (1, 0):
+            with pytest.raises(ValueError,
+                               match="^exponents must be nonnegative$"):
+                JKLPolynomial({triple: value})
+        with pytest.raises(ValueError,
+                           match="^exponents must be nonnegative$"):
+            thm48_decompose(triple)
 
     def test_float_coefficient_rejected(self):
         with pytest.raises(TypeError, match="exact rational"):
@@ -101,7 +119,7 @@ class TestJKLPolynomial:
 
     def test_float_exponent_rejected(self):
         with pytest.raises(TypeError, match="not an int"):
-            JKLPolynomial({(1.5, 0, 0): 1}, degree=12)
+            JKLPolynomial({(1.5, 0, 0): 1})
 
     def test_float_scalar_rejected(self):
         p = JKLPolynomial({(0, 0, 6): 1})
@@ -111,15 +129,15 @@ class TestJKLPolynomial:
             0.1 * p
 
     def test_arithmetic(self):
-        p = JKLPolynomial({(1, 0, 0): 1}, degree=12)
-        q = JKLPolynomial({(0, 1, 1): 2}, degree=12)
+        p = JKLPolynomial({(1, 0, 0): 1})
+        q = JKLPolynomial({(0, 1, 1): 2})
         assert (p + q).terms == {(1, 0, 0): 1, (0, 1, 1): 2}
         assert not (p - p).terms
         assert (3 * p).terms == {(1, 0, 0): 3}
         product = p * q
         assert product.terms == {(1, 1, 1): 2}
         assert product.degree == 24
-        mixed = p * JKLPolynomial({(0, 0, 1): 1})
+        mixed = p * JKLPolynomial({(0, 0, 1): 1, (0, 1, 0): 1})
         assert mixed.degree is None
 
     def test_items_ordering(self):
@@ -228,6 +246,18 @@ class TestBuildPhi:
                 quartic_of_root(tail, MPoly.variable("lam")))
             self.assert_transvectant_route(
                 BinaryForm([draw_coefficient(rng, height) for _ in range(5)]))
+
+    def test_rejects_a_quartic_that_uses_z(self):
+        # phi is linear in its own z, which a z in the quartic would break
+        a, z = MPoly.variable("a"), MPoly.variable("z")
+        for q in (BinaryForm([1, z, 0, 0, 1]),
+                  BinaryForm([1, a, 0, 0, a * z])):
+            with pytest.raises(ValueError, match="^build_phi needs a quartic"
+                                                 " free of z"):
+                build_phi(q)
+        # a universe naming z with no term using it is accepted
+        assert build_phi(BinaryForm([1, a + z - z, 0, 0, 1])) \
+            == build_phi(BinaryForm([1, a, 0, 0, 1]))
 
     def test_symbolic_equals_the_transvectant_route(self):
         tail = [MPoly.variable(f"a{i}") for i in range(1, 5)]
@@ -502,8 +532,7 @@ class TestSymbolicPipeline:
     def test_tampered_expectation_flips_one_entry(self, symbolic_vector,
                                                   monkeypatch):
         tampered = list(KEYPROP_TABLES)
-        tampered[3] = tampered[3] + JKLPolynomial({(0, 0, 6): Fraction(1, 7)},
-                                                  degree=24)
+        tampered[3] = tampered[3] + JKLPolynomial({(0, 0, 6): Fraction(1, 7)})
         monkeypatch.setattr(beauville, "KEYPROP_TABLES", tuple(tampered))
         monkeypatch.setattr(beauville, "beauville_pipeline",
                             lambda form: symbolic_vector)
@@ -532,6 +561,28 @@ class TestSymbolicPipeline:
         tail = [MPoly.variable(f"a{i}") for i in range(1, 6)]
         with pytest.raises(TypeError, match="reused in the tail"):
             beauville_pipeline(BinaryForm([tail[0], *tail]))
+
+    @pytest.mark.parametrize("name, index",
+                             [("z", 5), ("z", 1), ("lam", 1), ("lam", 5)])
+    def test_pipeline_rejects_its_own_symbols_in_the_tail(self, name, index):
+        # the pipeline's own lam and z would capture such a coefficient: z
+        # at a5 gave six entries over a0..a4 alone, with no error
+        coeffs = [MPoly.variable(f"a{i}") for i in range(6)]
+        coeffs[index] = MPoly.variable(name)
+        message = f"^symbolic pipeline uses the symbol '{name}' itself"
+        for lead in (coeffs[0], 1):
+            with pytest.raises(TypeError, match=message):
+                beauville_pipeline(BinaryForm([lead, *coeffs[1:]]))
+
+    @pytest.mark.parametrize("name", ["z", "lam"])
+    def test_leading_symbol_may_be_named_z_or_lam(self, name,
+                                                   symbolic_vector):
+        # the lead only enters when the entries are rehomogenized
+        lead = MPoly.variable(name)
+        tail = [MPoly.variable(f"a{i}") for i in range(1, 6)]
+        vector, _ = beauville_pipeline(BinaryForm([lead, *tail]))
+        assert vector.b == tuple(entry.substitute({"a0": lead})
+                                 for entry in symbolic_vector[0].b)
 
     def test_pipeline_rejects_non_symbol_leading_coefficient(self):
         a = [MPoly.variable(f"a{i}") for i in range(6)]
@@ -564,8 +615,12 @@ class TestDecomposeInJKL:
             (1, 2, 2): Fraction(-2, 16),
             (2, 0, 3): Fraction(1, 16),
             (0, 4, 1): Fraction(1, 16),
-        }, degree=36)
+        })
         assert decomposition == expected
+
+    def test_zero_has_no_degree(self):
+        decomposition = decompose_in_JKL(MPoly.zero(), 24)
+        assert not decomposition.terms and decomposition.degree is None
 
     def test_non_invariant_rejected(self):
         quartic_monomial = MPoly.variable("a0") ** 4
@@ -635,9 +690,9 @@ class TestDecomposeInJKL:
             for triple in rng.sample(basis, count):
                 terms[triple] = Fraction(rng.randrange(-9, 10) or 1,
                                          rng.randrange(1, 5))
-            polys.append(JKLPolynomial(terms, degree=degree))
+            polys.append(JKLPolynomial(terms))
         polys.append(JKLPolynomial(
-            {(3, 1, 1): Fraction(2, 3), (3, 0, 3): -5}, degree=48))
+            {(3, 1, 1): Fraction(2, 3), (3, 0, 3): -5}))
         assert len(polys) >= 20
         for poly in polys:
             expanded = poly.evaluate(J=iv.J, K=iv.K, L=iv.L)

@@ -73,6 +73,15 @@ class TestGroupElement:
         assert repr(GroupElement(1, Fraction(1, 2), -3, 2)) \
             == "GroupElement(1, 1/2, -3, 2)"
 
+    @pytest.mark.parametrize("other", [3, Fraction(1, 2), [[1, 0], [0, 1]]],
+                             ids=["int", "fraction", "list"])
+    def test_product_needs_a_group_element(self, other):
+        g = GroupElement(1, 0, 0, 1)
+        with pytest.raises(TypeError, match="^unsupported operand type"):
+            g @ other
+        with pytest.raises(TypeError, match="^unsupported operand type"):
+            other @ g
+
     def test_composition_is_matrix_product(self):
         rng = random.Random(3)
         for _ in range(10):
@@ -176,6 +185,21 @@ class TestBinaryForm:
         with pytest.raises(TypeError, match="^unsupported operand type"):
             f - other
 
+    @pytest.mark.parametrize("name", ["x1", "x2"])
+    def test_to_mpoly_refuses_coefficients_in_x1_or_x2(self, name):
+        # generic_form(2, "x") has coefficients x0, x1, x2: without the
+        # check its polynomial printed as x0*x1^2 + x1^2*x2 + x2^3
+        x = MPoly.variable(name)
+        with pytest.raises(ValueError, match=f"^to_mpoly: a coefficient"
+                                             f" uses '{name}'"):
+            BinaryForm([1, 2 * x + 1, 3]).to_mpoly()
+        with pytest.raises(ValueError, match="uses 'x1'"):
+            generic_form(2, "x").to_mpoly()
+        # a universe naming x1 or x2 with no term using it is accepted
+        a = MPoly.variable("a")
+        assert BinaryForm([a + x - x, 1]).to_mpoly() \
+            == BinaryForm([a, 1]).to_mpoly()
+
     def test_partials_of_a_constant_are_zero(self):
         for partial in (BinaryForm([7]).diff_x1(), BinaryForm([7]).diff_x2()):
             assert partial.order == 0
@@ -204,6 +228,14 @@ class TestAction:
             h = random_group_element(rng)
             assert act(GroupElement.identity(), f) == f
             assert act(g @ h, f) == act(g, act(h, f))
+
+    @pytest.mark.parametrize("g", [[[1, 0], [0, 1]], None, (1, 0, 0, 1)],
+                             ids=["nested-list", "none", "tuple"])
+    def test_needs_a_group_element(self, g):
+        with pytest.raises(TypeError,
+                           match=f"^act needs a GroupElement, got"
+                                 f" {type(g).__name__}$"):
+            act(g, BinaryForm([1, 2, 3]))
 
     def test_scaling_matrix(self):
         # g = diag(1, 1/2): x2 -> 2 x2 in the argument, so a_i -> 2^i a_i

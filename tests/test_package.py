@@ -67,3 +67,37 @@ def test_imports_need_only_the_standard_library():
     added = {name.partition(".")[0] for name in proc.stdout.split()}
     assert "binform" in added
     assert added - {"binform"} <= sys.stdlib_module_names
+
+
+def public_options():
+    """Every parameter with a default of the callables in binform.__all__
+    and of the public methods and classmethods of the exported classes,
+    as 'name(parameter=default)'."""
+    options = []
+    for name in binform.__all__:
+        obj = getattr(binform, name)
+        if not callable(obj):
+            continue
+        targets = [(name, obj)]
+        if inspect.isclass(obj):
+            targets += [(f"{name}.{attr}", getattr(obj, attr))
+                        for attr, value in vars(obj).items()
+                        if not attr.startswith("_")
+                        and (inspect.isfunction(value)
+                             or isinstance(value, (classmethod,
+                                                   staticmethod)))]
+        for label, target in targets:
+            for param in inspect.signature(target).parameters.values():
+                if param.default is not param.empty:
+                    options.append(f"{label}({param.name}={param.default!r})")
+    return options
+
+
+def test_public_options_are_pinned():
+    # a new option anywhere in the public API shows up as an edit here
+    assert sorted(public_options()) == sorted([
+        "MPoly.zero(variables=())",
+        "MPoly.constant(variables=())",
+        "generic_form(prefix='a')",
+        "verify_disc(seed=0)",
+    ])
