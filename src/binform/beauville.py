@@ -31,10 +31,10 @@ from .invariants import (
     sylvester_specialize,
     SylvesterPoint,
 )
-from .mpoly import (_BITS, _MASK, MPoly, _addmul, _as_exact, _as_fraction,
-                    _check_degree, _cleared, _int_exponent, _max_degree,
-                    _mentions, _monomials, _product, _rehomogenize,
-                    _remap_terms, monic_divrem)
+from .mpoly import (_BITS, _MASK, MPoly, _Record, _addmul, _apart,
+                    _as_exact, _as_fraction, _check_degree, _cleared,
+                    _int_exponent, _max_degree, _mentions, _monomials,
+                    _product, _rehomogenize, _remap_terms, monic_divrem)
 
 __all__ = [
     "JKLPolynomial",
@@ -209,7 +209,7 @@ KEYPROP_TABLES = (
 # vector and trace containers
 # ---------------------------------------------------------------------------
 
-class BeauvilleVector:
+class BeauvilleVector(_Record):
     """The six degree-24 invariants of a quintic.
 
     Entries are exact rationals for a numeric form, or homogeneous degree-24
@@ -241,14 +241,6 @@ class BeauvilleVector:
                 raise TypeError("only numeric vectors serialize to JSON")
             out.append(str(value))
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, BeauvilleVector):
-            return NotImplemented
-        return self.b == other.b
-
-    def __hash__(self):
-        return hash((BeauvilleVector,) + tuple(str(v) for v in self.b))
 
     def __repr__(self):
         return f"BeauvilleVector({list(self.b)!r})"
@@ -366,7 +358,8 @@ def beauville_pipeline(quintic: BinaryForm):
     Numeric quintics give a vector of exact rationals; the generic symbolic
     quintic (six distinct coefficient symbols, or a leading 1 with five
     symbols, none of the five named lam or z, which the pipeline uses)
-    gives the six Cartesian polynomials, homogeneous of degree 24.
+    gives the six Cartesian polynomials, homogeneous of degree 24.  A
+    leading 1 is homogenized with a0, renamed apart from the tail symbols.
     A numeric leading coefficient of zero is cured by a determinant-one
     shear, which leaves every entry unchanged.  Returns the vector together
     with the TschirnhausTrace of intermediates.
@@ -401,13 +394,13 @@ def beauville_pipeline(quintic: BinaryForm):
         if n in tail_names:
             raise TypeError(f"symbolic pipeline uses the symbol {n!r} itself;"
                             " rename that coefficient")
+    if lead_name in tail_names:
+        raise TypeError("leading coefficient symbol reused in the tail")
     if lead_name is None:
         if quintic.coeffs[0] != 1:
             raise TypeError(
                 "symbolic pipeline needs leading coefficient 1 or a symbol")
-        lead_name = "a0"
-    if lead_name in tail_names:
-        raise TypeError("leading coefficient symbol reused in the tail")
+        lead_name = "a0" + _apart(["a0"], tail_names)
 
     tail = [MPoly.variable(n) for n in tail_names]
     trace = _core_pipeline(tail)

@@ -17,7 +17,8 @@ from typing import Sequence
 
 from .mpoly import (MPoly, Scalar, _addmul, _as_exact, _as_fraction,
                     _check_degree, _cleared, _int_terms, _max_degree,
-                    _mentions, _monomials, _universe, det_fraction_free)
+                    _mentions, _monomials, _product, _universe,
+                    det_fraction_free)
 
 __all__ = [
     "BinaryForm", "GroupElement",
@@ -143,7 +144,9 @@ class BinaryForm:
 
     def __mul__(self, other):
         if isinstance(other, BinaryForm):
-            return BinaryForm(_convolve(self.coeffs, other.coeffs))
+            out = _addmul({}, dict(enumerate(self.coeffs)),
+                          dict(enumerate(other.coeffs)))
+            return BinaryForm([out[i] for i in range(len(out))])
         return BinaryForm([c * other for c in self.coeffs])
 
     __rmul__ = __mul__
@@ -182,9 +185,10 @@ def act(g: GroupElement, form: BinaryForm) -> BinaryForm:
 
     It runs on ints: h's entries go over their common denominator m and
     the c_i, numbers or MPolys, over theirs, e, as int term dicts.  The
-    images of X1^(p-i) X2^i are then int coefficient lists over m^p, and
-    each output coefficient, a sum of int multiples of the c_i, is divided
-    once by e m^p.
+    images of X1^(p-i) X2^i are then term dicts over m^p keyed by the
+    exponent of x2, made by the product kernel, and each output
+    coefficient, a sum of int multiples of the c_i, is divided once by
+    e m^p.
     """
     _require_forms("act", form)
     if not isinstance(g, GroupElement):
@@ -195,25 +199,13 @@ def act(g: GroupElement, form: BinaryForm) -> BinaryForm:
     coeffs, e = _int_terms(form.coeffs, vs)
     p = form.order
     images = _monomials([(p - i, i) for i in range(p + 1)],
-                        ([ha, hb], [hc, hd]), [1], _convolve)
+                        ({0: ha, 1: hb}, {0: hc, 1: hd}), {0: 1}, _product)
     out = [{} for _ in range(p + 1)]
     for c, image in zip(coeffs, images):
-        for acc, w in zip(out, image):
+        for j, w in image.items():
             if w:
-                _addmul(acc, {0: w}, c)
+                _addmul(out[j], {0: w}, c)
     return BinaryForm([MPoly._make(vs, acc, e * m ** p) for acc in out])
-
-
-def _convolve(a: Sequence, b: Sequence) -> list:
-    """The coefficient list of the product of the forms with coefficient
-    lists a and b; any ring elements with ``+`` and ``*`` will do."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return out
 
 
 def transvectant(f: BinaryForm, g: BinaryForm, k: int) -> BinaryForm:

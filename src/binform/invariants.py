@@ -23,8 +23,8 @@ from typing import Iterator, NamedTuple
 
 from .forms import (BinaryForm, _over, _require_forms, _transvectant_sum,
                     discriminant, transvectant)
-from .mpoly import (MPoly, _addmul, _as_exact, _check_degree, _cleared,
-                    _int_terms, _max_degree, _universe)
+from .mpoly import (MPoly, _Record, _addmul, _as_exact, _check_degree,
+                    _cleared, _int_terms, _max_degree, _universe)
 
 __all__ = [
     "QuarticInvariants",
@@ -62,7 +62,7 @@ def _require_order(form: BinaryForm, order: int, what: str) -> None:
 # quartic invariants
 # ---------------------------------------------------------------------------
 
-class QuarticInvariants:
+class QuarticInvariants(_Record):
     """The invariant pair (S, T) of a binary quartic.
 
     S has degree 2 and weight 4, T degree 3 and weight 6, and the quartic
@@ -78,17 +78,6 @@ class QuarticInvariants:
     @property
     def discriminant(self):
         return _as_exact(256 * (self.S ** 3 - 27 * self.T ** 2))
-
-    def __eq__(self, other):
-        if not isinstance(other, QuarticInvariants):
-            return NotImplemented
-        return self.S == other.S and self.T == other.T
-
-    def __hash__(self):
-        return hash((QuarticInvariants, str(self.S), str(self.T)))
-
-    def __repr__(self):
-        return f"QuarticInvariants(S={self.S!r}, T={self.T!r})"
 
 
 def quartic_S(quartic: BinaryForm):
@@ -235,7 +224,7 @@ def canonizant(quintic: BinaryForm) -> BinaryForm:
     return -transvectant(quintic, first, 2)
 
 
-class InvariantVector:
+class InvariantVector(_Record):
     """The fundamental quintic invariants J, K, L, H plus the discriminant.
 
     Degrees are (4, 8, 12, 18) and weights (10, 20, 30, 45); the discriminant
@@ -270,20 +259,6 @@ class InvariantVector:
                     "only numeric invariant vectors serialize to JSON")
             out[name] = str(value)
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, InvariantVector):
-            return NotImplemented
-        return all(getattr(self, n) == getattr(other, n)
-                   for n in self.__slots__)
-
-    def __hash__(self):
-        return hash((InvariantVector,)
-                    + tuple(str(getattr(self, n)) for n in self.__slots__))
-
-    def __repr__(self):
-        parts = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
-        return f"InvariantVector({parts})"
 
 
 def quintic_invariants(quintic: BinaryForm) -> InvariantVector:

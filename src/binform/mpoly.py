@@ -52,7 +52,9 @@ def _int_exponent(e) -> int:
 
 def _addmul(acc: dict, f: dict, g: dict, sign: int = 1) -> dict:
     """Add sign * f * g into the raw term dict acc in place and return acc;
-    sign is any int, such as -1 or a weight of a sum of products.
+    sign is any int, such as -1 or a weight of a sum of products.  The
+    values may be any ring elements (``BinaryForm.__mul__`` passes
+    Fractions and MPolys); every hot caller passes ints.
 
     The smaller operand is looped over on the outside.  Zero coefficients
     stay in acc for the caller to prune.
@@ -452,10 +454,8 @@ class MPoly:
             return self
         names = set(self._vars).union(*(b._vars for b in bound.values()))
         if any(v in bound for b in bound.values() for v in b._vars):
-            # rename apart by the shortest run of _ that makes no name in use
-            u = "_"
-            while any(v + u in names for v in bound):
-                u += "_"
+            # the bound names are in use, so u is a nonempty run of _
+            u = _apart(bound, names)
             renamed = self.substitute(
                 {v: MPoly.variable(v + u) for v in bound})
             return renamed.substitute({v + u: b for v, b in bound.items()})
@@ -509,6 +509,39 @@ def _as_exact(x):
     if isinstance(x, MPoly):
         return x.constant_value() if x.total_degree() <= 0 else x
     return _as_fraction(x)
+
+
+def _apart(names, used) -> str:
+    """The shortest run of _, empty included, that appended to each of
+    names makes no name in used: the one rule for renaming apart."""
+    u = ""
+    while any(v + u in used for v in names):
+        u += "_"
+    return u
+
+
+class _Record:
+    """An exact-value record over the fields named by its ``__slots__``:
+    equal to another record of the same type with equal fields, hashed on
+    the type name and each field's text (an MPoly field is not hashable),
+    and shown with its fields named."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, n) for n in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash((type(self).__name__, *map(str, self._fields())))
+
+    def __repr__(self):
+        parts = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({parts})"
 
 
 def _remap_table(old: tuple, new: tuple) -> tuple:

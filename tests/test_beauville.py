@@ -557,6 +557,16 @@ class TestSymbolicPipeline:
         vector, _ = beauville_pipeline(BinaryForm([1, *tail]))
         assert vector.b == symbolic_vector[0].b
 
+    def test_unit_lead_is_renamed_apart_from_a_tail_a0(self, symbolic_vector):
+        # with a tail a0..a4 the unit lead is homogenized with a0_: the
+        # generic entries under {a0 -> a0_, a1 -> a0, ..., a5 -> a4}
+        tail = [MPoly.variable(f"a{i}") for i in range(5)]
+        vector, _ = beauville_pipeline(BinaryForm([1, *tail]))
+        renaming = {"a0": MPoly.variable("a0_"),
+                    **{f"a{i + 1}": t for i, t in enumerate(tail)}}
+        assert vector.b == tuple(b.substitute(renaming)
+                                 for b in symbolic_vector[0].b)
+
     def test_pipeline_rejects_reused_leading_symbol(self):
         tail = [MPoly.variable(f"a{i}") for i in range(1, 6)]
         with pytest.raises(TypeError, match="reused in the tail"):

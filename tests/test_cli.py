@@ -12,10 +12,11 @@ from fractions import Fraction
 import pytest
 from conftest import run_cli
 
+import binform
 from binform.cli import main as cli_main
 
 from binform.beauville import beauville_closed_form, thm48_decompose
-from binform.forms import BinaryForm
+from binform.forms import BinaryForm, GroupElement, act
 from binform.invariants import monomial_basis, quintic_invariants
 
 # canonical stable quintics used throughout: the first two are inequivalent,
@@ -352,6 +353,33 @@ class TestDeterminismAndEnvironment:
         first = run_cli(["beauville", FORM_B])
         second = run_cli(["beauville", FORM_B])
         assert first == second
+
+    def test_byte_stability_across_hash_seeds(self):
+        # str hashing, and so set and dict order over names, changes with
+        # PYTHONHASHSEED; no command's output or exit code may follow it
+        form = BinaryForm([1, -2, 3, 0, 5, -7])
+        image = act(GroupElement(2, 1, -1, 3), form)
+        commands = [
+            ["invariants", FORM_B],
+            ["beauville", FORM_B, "--pipeline"],
+            ["equiv", ",".join(str(c) for c in form.coeffs),
+             ",".join(str(c) for c in image.coeffs)],
+            ["verify", "prop48"],
+            ["basis", "48", "--json"],
+        ]
+        src = os.path.dirname(os.path.dirname(binform.__file__))
+        runs = {}
+        for seed in ("0", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p)
+            runs[seed] = [
+                (proc.returncode, proc.stdout) for proc in (
+                    subprocess.run([sys.executable, "-m", "binform.cli", *argv],
+                                   capture_output=True, env=env, timeout=120)
+                    for argv in commands)]
+        assert [code for code, _ in runs["0"]] == [0, 0, 0, 0, 0]
+        assert runs["0"] == runs["4242"]
 
     def test_no_subcommand_is_usage_error(self):
         code, _, err = run_cli([])

@@ -669,6 +669,88 @@ def test_same_j_data_rejects_symbolic_quintics(form, i, swap):
         same_j_data(*(pair[::-1] if swap else pair))
 
 
+def bracket(p, q):
+    return p[0] * q[1] - p[1] * q[0]
+
+
+def five_point_js(points):
+    """For five distinct points (r1, r2) of the line, the j of the four
+    left when point i is removed, for i = 0..4: from the cross-ratio
+    lam = [13][24] / ([14][23]) of brackets [pq] = p1 q2 - p2 q1, which
+    drops the factors with infinity, (1, 0), by itself, as
+    j = 4 (lam^2 - lam + 1)^3 / (27 lam^2 (lam - 1)^2)."""
+    js = []
+    for i in range(5):
+        p, q, r, s = (x for k, x in enumerate(points) if k != i)
+        lam = Fraction(bracket(p, r) * bracket(q, s),
+                       bracket(p, s) * bracket(q, r))
+        js.append(4 * (lam ** 2 - lam + 1) ** 3
+                  / (27 * lam ** 2 * (lam - 1) ** 2))
+    return js
+
+
+def signed_symmetric_functions(js):
+    """(1, -e1, e2, -e3, e4, -e5): the coefficients of prod (z - j)."""
+    out = [Fraction(1)]
+    for j in js:
+        out = [a - j * b for a, b in zip(out + [0], [0] + out)]
+    return out
+
+
+def proportional(b, v):
+    return b[0] != 0 and all(b[0] * v[i] == v[0] * b[i] for i in range(6))
+
+
+def point_value(point):
+    # a named function: hypothesis reads a lambda's source as a regex here
+    return Fraction(*point)
+
+
+@st.composite
+def five_points(draw, bits):
+    """Five distinct points (r1, r2) for r1 / r2 of the projective line,
+    with |r1| <= 2**bits and 1 <= r2 <= 2**bits; in about half the draws
+    one of them is infinity, (1, 0), so x2 divides the quintic (a0 = 0)."""
+    finite = st.tuples(st.integers(-2 ** bits, 2 ** bits),
+                       st.integers(1, 2 ** bits))
+    infinity = [(1, 0)] if draw(st.booleans()) else []
+    points = infinity + draw(st.lists(
+        finite, min_size=5 - len(infinity), max_size=5 - len(infinity),
+        unique_by=point_value))
+    return draw(st.permutations(points))
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_b_is_the_symmetric_functions_of_five_point_js(data):
+    # a route to b that shares nothing with the library's: the five
+    # four-point j's from cross-ratios are the roots of r_bar in z
+    bits = data.draw(st.sampled_from((3, 20, 64)))
+    points = data.draw(five_points(bits))
+    js = five_point_js(points)
+    expected = signed_symmetric_functions(js)
+    form = form_from_roots(points)
+    assert proportional(beauville_closed_form(form).b, expected)
+    if bits == 3:
+        assert proportional(beauville_pipeline(form)[0].b, expected)
+    # a rational Mobius image of the points, and a reordering with each
+    # point's representative rescaled, have the same j-data
+    a, b, c, d = data.draw(st.tuples(*[small_rationals] * 4).filter(
+        lambda e: e[0] * e[3] != e[1] * e[2]))
+    image = [(a * r1 + b * r2, c * r1 + d * r2) for r1, r2 in points]
+    assert sorted(five_point_js(image)) == sorted(js)
+    assert same_j_data(form, form_from_roots(image))
+    scales = data.draw(st.lists(st.integers(-9, 9).filter(bool),
+                                min_size=5, max_size=5))
+    reordered = [(s * r1, s * r2) for s, (r1, r2) in zip(
+        scales, data.draw(st.permutations(points)))]
+    assert same_j_data(form, form_from_roots(reordered))
+    # on an independent draw same_j_data is equality of the j multisets
+    other = data.draw(five_points(data.draw(st.sampled_from((3, 20, 64)))))
+    assert same_j_data(form, form_from_roots(other)) is (
+        sorted(five_point_js(other)) == sorted(js))
+
+
 @lru_cache
 def generic_transvectant(p, q, k):
     return transvectant(generic_form(p, "a"), generic_form(q, "b"), k)

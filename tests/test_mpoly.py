@@ -327,6 +327,13 @@ class TestCalculusAndSubstitution:
         assert got == p ** 2 * q - 2 * q * ab + 5 * p * x2 + 7
         assert got.variables == ("a_b", "x", "x_", "x__")
 
+    def test_apart_is_the_shortest_run_of_underscores(self):
+        # the one rename-apart rule: empty when nothing clashes, else the
+        # shortest run that clears every name at once
+        assert mpoly._apart(["a0"], ["a1", "a0_"]) == ""
+        assert mpoly._apart(["a0"], ["a0", "a0_"]) == "__"
+        assert mpoly._apart(["x", "y"], {"x", "y", "y_", "x__"}) == "___"
+
     def test_substitute_zero_fraction_and_polynomial_in_one_call(self):
         f = X ** 3 * Y + X * Z ** 2 + Y * Z ** 2 + 5
         u, v = MPoly.variable("u"), MPoly.variable("v")

@@ -50,6 +50,20 @@ def test_packed_key_fields_are_read_in_mpoly_alone():
         assert bool(reads) == (module is beauville)
 
 
+def test_exact_value_records_share_one_rule():
+    # equality and hashing come from mpoly._Record alone; BeauvilleVector
+    # keeps its own list repr
+    for cls in (invariants.QuarticInvariants, invariants.InvariantVector,
+                beauville.BeauvilleVector):
+        assert issubclass(cls, mpoly._Record)
+        assert not {"__eq__", "__hash__"} & set(vars(cls)), cls.__name__
+    quartic = invariants.QuarticInvariants(1, 2)
+    assert quartic == invariants.QuarticInvariants(1, 2)
+    assert quartic != invariants.QuarticInvariants(1, 3)
+    assert quartic != beauville.BeauvilleVector([1, 2, 0, 0, 0, 0])
+    assert quartic.__eq__((1, 2)) is NotImplemented
+
+
 def test_imports_need_only_the_standard_library():
     # a fresh interpreter: the modules that importing binform and its CLI
     # adds are binform's own or the standard library's.  Those loaded
