@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import islice
 from math import gcd, isqrt
 
-from .forms import (BinaryForm, GroupElement, _over, act, resultant,
+from .forms import (BinaryForm, GroupElement, _bezout_resultant, _over, act,
                     weight_of)
 from .invariants import (
     InvariantVector,
@@ -26,6 +26,7 @@ from .invariants import (
     _require_order,
     monomial_basis,
     _scaled_invariants,
+    _quartic_sums,
     _scaled_quartic,
     sylvester_invariants,
     sylvester_specialize,
@@ -33,8 +34,9 @@ from .invariants import (
 )
 from .mpoly import (_BITS, _MASK, MPoly, _Record, _addmul, _apart,
                     _as_exact, _as_fraction, _check_degree, _cleared,
-                    _int_exponent, _max_degree, _mentions, _monomials,
-                    _product, _rehomogenize, _remap_terms, monic_divrem)
+                    _coefficient_terms, _divrem, _int_exponent, _int_terms,
+                    _max_degree, _mentions, _monomials, _product,
+                    _rehomogenize, _remap_terms, _unit, _universe)
 
 __all__ = [
     "JKLPolynomial",
@@ -294,53 +296,58 @@ def build_phi(quartic: BinaryForm) -> MPoly:
 
     With the companion quartic of a root plugged in, this has degree at most
     12 in lam and encodes the normalized j-invariant of the root's four-point
-    configuration as its z-root.
-
-    It is built on the int term dicts s = 12 d^2 S and t = 432 d^3 T of
-    ``invariants._scaled_quartic`` and wrapped once: S^3 = 4 s^3 / (6912
-    d^6) and 27 T^2 = t^2 / (6912 d^6), so phi is ((4 s^3 - t^2) z
-    - 4 s^3) / (6912 d^6).  Constant S and T, which ``quartic_S`` and
-    ``quartic_T`` give as numbers, leave z alone in phi's universe.
+    configuration as its z-root.  A thin wrapper over ``_phi_terms``.
+    Constant S and T, which ``quartic_S`` and ``quartic_T`` give as
+    numbers, leave z alone in phi's universe.
     """
     _require_order(quartic, 4, "build_phi")
     if _mentions(quartic.coeffs, "z"):
         raise ValueError("build_phi needs a quartic free of z: its result"
                          " is linear in z")
     (vs, d), s, t = _scaled_quartic(quartic)
-    _check_degree(max(3 * _max_degree((s,), vs), 2 * _max_degree((t,), vs))
-                  + 1)
     universe = tuple(sorted({*vs, "z"} if (set(s) | set(t)) - {0} else {"z"}))
     s, t = (_remap_terms(x, vs, universe) for x in (s, t))
+    return MPoly._make(universe, _phi_terms(s, t, universe), 6912 * d ** 6)
+
+
+def _phi_terms(s: dict, t: dict, vs: tuple) -> dict:
+    """6912 d^6 phi from s = 12 d^2 S and t = 432 d^3 T, int term dicts
+    over vs, which holds z: 4 s^3 = 6912 d^6 S^3, t^2 = 6912 d^6 27 T^2."""
+    _check_degree(max(3 * _max_degree((s,), vs), 2 * _max_degree((t,), vs))
+                  + 1)
     s3 = _addmul({}, s, _addmul({}, s, s), 4)
-    phi = _addmul({k: -c for k, c in s3.items()},
-                  MPoly.variable("z").in_universe(universe)._terms,
-                  _addmul(dict(s3), t, t, -1))
-    return MPoly._make(universe, phi, 6912 * d ** 6)
+    return _addmul({k: -c for k, c in s3.items()}, {_unit(vs, "z"): 1},
+                   _addmul(dict(s3), t, t, -1))
 
 
 def _core_pipeline(tail) -> TschirnhausTrace:
     """Run the resultant pipeline for a monic quintic with coefficient tail
     (a1..a5): rationals in numeric mode, coefficient symbols in symbolic
-    mode.  The trace's r_bar is the resultant the entries are read from."""
-    lam = MPoly.variable("lam")
-    quartic = quartic_of_root(tail[:4], lam)
-    phi = build_phi(quartic)
-    _, phi_bar = monic_divrem(phi, lam * quartic.coeffs[4] + tail[4], "lam")
-    r_bar = resultant(BinaryForm([1, *tail]),
-                      BinaryForm(_split(phi_bar, "lam", 4)))
-    # a fivefold root makes r_bar zero, and a zero built from constant
-    # coefficients has no z in its universe
-    r_bar = r_bar.in_universe(set(r_bar.variables) | {"z"})
+    mode.  The trace's r_bar is the resultant the entries are read from.
+    The stages pass int term dicts over the tail symbols, lam and z, each
+    over one denominator; MPolys are made for the trace alone.
+    """
+    vs = tuple(sorted({*_universe(tail), "lam", "z"}))
+    n, d = _int_terms(tail, vs)
+    b = [{0: d}]    # d times the quartic's plain coefficients, then d f(lam)
+    for ni in n:
+        b.append(_addmul(dict(ni), {_unit(vs, "lam"): 1}, b[-1]))
+
+    def over(terms, names, den):    # in the universe of lam and names
+        u = tuple(sorted({"lam", *_universe(names)}))
+        return MPoly._make(u, _remap_terms(terms, vs, u), den)
+
+    quartic = BinaryForm([1, *(over(b[i], tail[:i], d) for i in range(1, 5))])
+    phi = over(_phi_terms(*_quartic_sums(b[:5], vs), vs),
+               [*tail[:4], MPoly.variable("z")], 6912 * d ** 6)
+    _, r, s = _divrem(_remap_terms(phi._terms, phi._vars, vs), b[5], d, vs,
+                      "lam")
+    phi_bar = MPoly._make(vs, r, phi._den * s)
+    rest, parts = _coefficient_terms(phi_bar._terms, vs, "lam")
+    r_bar = _bezout_resultant(*_int_terms([1, *tail], rest),
+                              [{}] * (5 - len(parts)) + parts[::-1],
+                              phi_bar._den, rest)
     return TschirnhausTrace(quartic.binomial_coeffs(), phi, phi_bar, r_bar)
-
-
-def _split(poly: MPoly, var: str, degree: int) -> list:
-    """The coefficients of var**degree, ..., var**0 in poly, from one pass
-    over its terms (zero above poly's degree in var)."""
-    split = poly.coefficients(var)
-    zero = MPoly.zero(v for v in poly.variables if v != var)
-    return [split[e] if e < len(split) else zero
-            for e in range(degree, -1, -1)]
 
 
 def _symbol_name(poly: MPoly):
@@ -378,8 +385,9 @@ def beauville_pipeline(quintic: BinaryForm):
         tail = [v / lead for v in working[1:]]
         trace = _core_pipeline(tail)
         ints, den = trace.r_bar._dense_ints(5)
-        den *= lead.denominator ** 24
-        scale = lead.numerator ** 24
+        g = gcd(lead.numerator ** 24, den)    # cancelled once, not per entry
+        scale = lead.numerator ** 24 // g
+        den = den // g * lead.denominator ** 24
         return BeauvilleVector([Fraction(c * scale, den)
                                 for c in ints]), trace
 
@@ -405,7 +413,7 @@ def beauville_pipeline(quintic: BinaryForm):
     tail = [MPoly.variable(n) for n in tail_names]
     trace = _core_pipeline(tail)
     entries = [_rehomogenize(c, lead_name, 24)
-               for c in _split(trace.r_bar, "z", 5)]
+               for c in reversed(trace.r_bar.coefficients("z"))]
     return BeauvilleVector(entries), trace
 
 
@@ -758,8 +766,9 @@ def equivalence_witness(first: BinaryForm, second: BinaryForm) -> dict:
                               "equivalence_witness needs numeric quintics")
     *v2, rest2 = _numeric_jkl(second, "equivalence_witness",
                               "equivalence_witness needs numeric quintics")
-    if any(J * J == 128 * K for J, K, _ in (v1, v2)):
-        raise ValueError("unstable form")
+    for which, (J, K, _) in (("first", v1), ("second", v2)):
+        if J * J == 128 * K:
+            raise ValueError(f"{which} quintic: unstable form")
 
     pinned = None       # name of the pinning invariant, of degree dx
     for name, x1, x2 in zip("JKL", v1, v2):
@@ -801,6 +810,7 @@ def same_j_data(first: BinaryForm, second: BinaryForm) -> bool:
     """
     s1, _ = _closed_form_sums(first)
     s2, _ = _closed_form_sums(second)
-    if s1[0] == 0 or s2[0] == 0:
-        raise ValueError("repeated roots; j-data undefined")
+    which = "first" if s1[0] == 0 else "second" if s2[0] == 0 else None
+    if which:
+        raise ValueError(f"{which} quintic: repeated roots; j-data undefined")
     return all(s2[0] * s1[i] == s1[0] * s2[i] for i in range(1, 6))

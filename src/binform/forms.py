@@ -311,25 +311,25 @@ def resultant(f: BinaryForm, g: BinaryForm) -> MPoly:
     quintic's pipeline (p = 5, q = 4) this is a 5x5 determinant instead of
     a 9x9 one.
 
-    The matrix is built on int term dicts in one universe, by the product
-    kernel, with no MPoly arithmetic: f's coefficients go over their
-    common denominator da and g's over db, so the recurrence runs on the
-    ints of da f and db g.  Each entry is wrapped over 1, and the
-    determinant is divided once: the resultant is homogeneous of degree q
-    in f's coefficients and p in g's, so the int matrix has determinant
-    da^q db^p Res(f, g).
+    A thin wrapper over ``_bezout_resultant``, on int term dicts.
     """
     _require_forms("resultant", f, g)
     p, q = f.order, g.order
     if p == 0 or q == 0:
         raise ValueError("resultant needs two forms of positive order")
-    sign = 1
     if p < q:
-        f, g, p, q = g, f, q, p
-        sign = (-1) ** (p * q)
+        f, g = g, f
     vs = _universe(f.coeffs + g.coeffs)
-    a, da = _int_terms(f.coeffs, vs)
-    b, db = _int_terms(g.coeffs, vs)
+    (a, da), (b, db) = (_int_terms(h.coeffs, vs) for h in (f, g))
+    res = _bezout_resultant(a, da, b, db, vs)
+    return -res if p < q and p * q % 2 else res
+
+
+def _bezout_resultant(a: list, da: int, b: list, db: int, vs: tuple) -> MPoly:
+    """Res(f, g) of the forms of orders p = len(a) - 1 >= q = len(b) - 1
+    with coefficients the int term dicts a / da and b / db over vs: the
+    Bezout determinant of da f and db g, da^q db^p Res, divided once."""
+    p, q = len(a) - 1, len(b) - 1
     _check_degree(_max_degree(a, vs) + _max_degree(b, vs))
     bezout = []
     row = [{}] * p
@@ -345,7 +345,7 @@ def resultant(f: BinaryForm, g: BinaryForm) -> MPoly:
     rows = [[MPoly._make(vs, e) for e in row] for row in reversed(bezout)]
     g_row = [MPoly._make(vs, e) for e in b]
     rows += [[0] * j + g_row + [0] * (p - q - 1 - j) for j in range(p - q)]
-    return det_fraction_free(rows) / (sign * da ** q * db ** p)
+    return det_fraction_free(rows) / (da ** q * db ** p)
 
 
 def _require_forms(what: str, *forms) -> None:

@@ -122,6 +122,11 @@ def _scaled_quartic(quartic: BinaryForm) -> Iterator:
     vs = _universe(quartic.coeffs)
     n, d = _int_terms(quartic.coeffs, vs)
     yield vs, d
+    yield from _quartic_sums(n, vs)
+
+
+def _quartic_sums(n: list, vs: tuple) -> Iterator:
+    """``_scaled_quartic``'s s, then t, from the int term dicts n over vs."""
     n0, n1, n2, n3, n4 = n
     e0, e1, e2, e3, e4 = (_max_degree((c,), vs) for c in n)
     _check_degree(max(e0 + e4, e1 + e3, 2 * e2))
@@ -346,9 +351,9 @@ def monomial_basis(d: int) -> list:
 # the Sylvester canonical family
 # ---------------------------------------------------------------------------
 
-class SylvesterPoint:
+class SylvesterPoint(_Record):
     """Parameters (u, v, w) of the canonical quintic
-    u*x1**5 + v*x2**5 - w*(x1 + x2)**5."""
+    u*x1**5 + v*x2**5 - w*(x1 + x2)**5; shown positionally."""
 
     __slots__ = ("u", "v", "w")
 

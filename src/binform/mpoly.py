@@ -21,6 +21,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -63,7 +64,8 @@ def _addmul(acc: dict, f: dict, g: dict, sign: int = 1) -> dict:
         f, g = g, f
     get = acc.get
     for ka, ca in f.items():
-        ca *= sign
+        if sign != 1:
+            ca *= sign
         for kb, cb in g.items():
             k = ka + kb
             acc[k] = get(k, 0) + ca * cb
@@ -79,6 +81,27 @@ def _split(terms: dict, sh: int, dsh: int) -> dict:
         e = (k >> sh) & _MASK
         split.setdefault(e, {})[k - (e << sh) - (e << dsh)] = c
     return split
+
+
+def _shift(vs: tuple, var: str) -> int:
+    """The shift of var's field in a key over the sorted universe vs."""
+    if var not in vs:
+        raise ValueError(f"unknown variable: {var!r}")
+    return (len(vs) - 1 - vs.index(var)) * _BITS
+
+
+def _unit(vs: tuple, var: str) -> int:
+    """The key of var over vs: one unit in its field and the degree's."""
+    return (1 << _shift(vs, var)) | (1 << len(vs) * _BITS)
+
+
+def _coefficient_terms(terms: dict, vs: tuple, var: str) -> tuple:
+    """vs without var, and the int term dicts over it of var**0, var**1,
+    ... up to the terms' degree in var, from one pass over the terms."""
+    rest = tuple(v for v in vs if v != var)
+    split = _split(terms, _shift(vs, var), len(vs) * _BITS)
+    return rest, [_remap_terms(split.get(e, {}), vs, rest)
+                  for e in range(max(split, default=-1) + 1)]
 
 
 def _max_degree(entries, vs: tuple) -> int:
@@ -195,7 +218,7 @@ class MPoly:
         if len(set(vs)) != n:
             raise ValueError("variable universe must be duplicate-free")
         # each given name's field in the packing over the sorted universe
-        shifts = [(n - 1 - vs.index(v)) * _BITS for v in names]
+        shifts = [_shift(vs, v) for v in names]
         keys = []
         for exps in terms:
             if not isinstance(exps, tuple):
@@ -259,13 +282,6 @@ class MPoly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def _shift(self, var: str) -> int:
-        try:
-            i = self._vars.index(var)
-        except ValueError:
-            raise ValueError(f"unknown variable: {var!r}") from None
-        return (self._n - 1 - i) * _BITS
-
     def _unpack(self, key: int) -> tuple:
         n = self._n
         return tuple((key >> ((n - 1 - i) * _BITS)) & _MASK for i in range(n))
@@ -284,7 +300,7 @@ class MPoly:
 
     def degree(self, var: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
-        sh = self._shift(var)
+        sh = _shift(self._vars, var)
         if not self._terms:
             return -1
         return max((k >> sh) & _MASK for k in self._terms)
@@ -292,17 +308,14 @@ class MPoly:
     def coefficients(self, var: str) -> list:
         """The coefficients of var**0 .. var**deg over the remaining
         variables, from one pass over the terms."""
-        rest = tuple(v for v in self._vars if v != var)
-        split = _split(self._terms, self._shift(var), self._n * _BITS)
-        return [MPoly._make(rest, _remap_terms(split.get(e, {}), self._vars,
-                                               rest), self._den)
-                for e in range(max(split, default=-1) + 1)]
+        rest, parts = _coefficient_terms(self._terms, self._vars, var)
+        return [MPoly._make(rest, part, self._den) for part in parts]
 
     def coefficient(self, var: str, power: int) -> "MPoly":
         """The coefficient of var**power over the remaining variables, zero
         outside 0 .. deg: one pass over the terms, one part re-packed."""
         rest = tuple(v for v in self._vars if v != var)
-        split = _split(self._terms, self._shift(var), self._n * _BITS)
+        split = _split(self._terms, _shift(self._vars, var), self._n * _BITS)
         return MPoly._make(rest, _remap_terms(
             split.get(_int_exponent(power), {}), self._vars, rest), self._den)
 
@@ -317,7 +330,7 @@ class MPoly:
         over; terms above x**degree are not read."""
         if self._n != 1:
             raise ValueError("not a polynomial in one variable")
-        unit = (1 << _BITS) | 1     # x in its field and in the degree field
+        unit = _unit(self._vars, self._vars[0])
         return ([self._terms.get(e * unit, 0) for e in range(degree, -1, -1)],
                 self._den)
 
@@ -422,7 +435,7 @@ class MPoly:
 
     def diff(self, var: str) -> "MPoly":
         """Partial derivative; the variable must be in the universe."""
-        sh = self._shift(var)
+        sh = _shift(self._vars, var)
         dsh = self._n * _BITS
         out: dict = {}
         for k, c in self._terms.items():
@@ -468,7 +481,7 @@ class MPoly:
             # a binding to 0 keeps its keys, with coefficient 0
             image = _remap_terms(b._terms, b._vars, vs) or {0: 0}
             grow = max(b.total_degree(), 0)
-            split = _split(terms, (len(vs) - 1 - vs.index(v)) * _BITS, dsh)
+            split = _split(terms, _shift(vs, v), dsh)
             es = sorted(split)  # increasing, so dense powers step up by one
             _check_degree(max((max(split[e]) >> dsh) + e * grow for e in es))
             terms = {}
@@ -544,6 +557,7 @@ class _Record:
         return f"{type(self).__name__}({parts})"
 
 
+@lru_cache(maxsize=64)
 def _remap_table(old: tuple, new: tuple) -> tuple:
     """The moves that re-pack a key of universe ``old`` into universe
     ``new``: one (old shift, mask, new shift) per run of fields adjacent in
@@ -588,10 +602,8 @@ def _rehomogenize(poly: MPoly, var: str, total_degree: int) -> MPoly:
         raise ValueError(f"variable {var!r} already present")
     _check_degree(total_degree)
     target = tuple(sorted(poly._vars + (var,)))
-    n = len(target)
     table = _remap_table(poly._vars, target)
-    # one unit of var, counted in its field and in the degree field
-    unit = (1 << ((n - 1 - target.index(var)) * _BITS)) | (1 << (n * _BITS))
+    unit = _unit(target, var)
     dsh = poly._n * _BITS
     out = {}
     for k, c in poly._terms.items():
@@ -638,39 +650,43 @@ def monic_divrem(f: MPoly, g: MPoly, var: str) -> tuple:
 
     g must be monic in ``var``: its leading coefficient, a polynomial in
     the remaining variables, must be the constant 1.  Returns (q, r) with
-    f == q*g + r and deg_var(r) < deg_var(g).
+    f == q*g + r and deg_var(r) < deg_var(g); a thin wrapper over ``_divrem``.
     """
     if not isinstance(f, MPoly) or not isinstance(g, MPoly):
         raise TypeError("monic_divrem expects MPoly operands")
     vs, ft, gt = f._aligned(g)
-    if var not in vs:
-        raise ValueError(f"unknown variable: {var!r}")
     if not gt:
         raise ZeroDivisionError("division by the zero polynomial")
-    sh, dsh = (len(vs) - 1 - vs.index(var)) * _BITS, len(vs) * _BITS
-    b = g._den
+    q, r, s = _divrem(ft, gt, g._den, vs, var)
+    return MPoly._make(vs, q, f._den * s), MPoly._make(vs, r, f._den * s)
+
+
+def _divrem(ft: dict, gt: dict, b: int, vs: tuple, var: str) -> tuple:
+    """Division of the int terms ft by gt over vs, gt / b monic in var:
+    q, r and s with s ft == q gt / b + r, for the int s that scales the
+    remainder whenever b does not divide its leading part."""
+    sh, dsh, unit = _shift(vs, var), len(vs) * _BITS, _unit(vs, var)
     rs, gs = _split(ft, sh, dsh), _split(gt, sh, dsh)
     dg = max(gs)
     if gs.pop(dg) != {0: b}:
         raise ValueError(f"divisor is not monic in {var!r}")
     dgt = max(gt) >> dsh
-    # pseudo-division: G = b * g is led by b * var**dg, and f's ints are
-    # scaled by b**steps, so every leading part taken is a multiple of b
-    steps = max(max(rs, default=-1) - dg + 1, 0)
-    rs = {e: _scaled(part, b ** steps) for e, part in rs.items()}
-    q: dict = {}
-    for d in range(steps - 1, -1, -1):
+    s, q = 1, {}
+    for d in range(max(rs, default=-1) - dg, -1, -1):
         # the quotient's part at var**d clears r's part at var**(d + dg)
-        qpart = {k: c // b for k, c in rs.pop(d + dg, {}).items() if c}
+        lead = rs.pop(d + dg, {})
+        m = b // gcd(b, *lead.values())
+        if m != 1:
+            s, lead, q = s * m, _scaled(lead, m), _scaled(q, m)
+            rs = {e: _scaled(part, m) for e, part in rs.items()}
+        qpart = {k: c // b for k, c in lead.items() if c}
         if qpart:
             _check_degree((max(qpart) >> dsh) + d + dgt)
-            q.update((k + (d << sh) + (d << dsh), c) for k, c in qpart.items())
+            q.update((k + d * unit, c) for k, c in lead.items() if c)
             for j, gpart in gs.items():
                 _addmul(rs.setdefault(d + j, {}), qpart, gpart, -1)
-    r = {k + (e << sh) + (e << dsh): c
-         for e, part in rs.items() for k, c in part.items()}
-    return (MPoly._make(vs, q, f._den * b ** max(steps - 1, 0)),
-            MPoly._make(vs, r, f._den * b ** steps))
+    r = {k + e * unit: c for e, part in rs.items() for k, c in part.items()}
+    return q, r, s
 
 
 # -- determinants ------------------------------------------------------------
@@ -739,13 +755,12 @@ def det_fraction_free(rows: Sequence[Sequence]) -> MPoly:
     # low-12-bit hash values (117 over rest), and the call was slower in
     # each of 12 interleaved rounds
     rest = vs[:s] + vs[s + 1:]
-    to_rest, from_rest = _remap_table(vs, rest), _remap_table(rest, vs)
+    from_rest = _remap_table(rest, vs)
 
     def pack(e: dict) -> dict:
         packed = {}
-        for ev, part in _split(e, sh, dsh).items():
-            for k, c in part.items():
-                kk = _remap_key(k, to_rest)
+        for ev, part in enumerate(_coefficient_terms(e, vs, vs[s])[1]):
+            for kk, c in part.items():
                 packed[kk] = packed.get(kk, 0) + (c << (width * ev))
         return packed
 

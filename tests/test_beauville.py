@@ -3,6 +3,7 @@ degree-48 products, factor splitting, equivalence, and five-point data."""
 
 import hashlib
 import random
+import sys
 from fractions import Fraction
 from math import comb, isqrt, prod
 
@@ -11,7 +12,7 @@ from conftest import draw_coefficient
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from binform import beauville
+from binform import beauville, mpoly
 from binform.beauville import (
     KEYPROP_TABLES,
     BeauvilleVector,
@@ -45,7 +46,7 @@ from binform.invariants import (
     quintic_invariants,
     sylvester_specialize,
 )
-from binform.mpoly import MPoly, format_poly
+from binform.mpoly import MPoly, format_poly, monic_divrem
 
 
 def random_stable_quintic(rng, bound=9):
@@ -459,6 +460,108 @@ def test_numeric_outputs_are_pinned_by_digest():
     # routes of build_phi, act and the six entries computed it
     assert hashlib.sha256(_pinned_outputs().encode()).hexdigest() \
         == "089766916e5218841527261c47abbdf3183c5682c7e75b762e55958ae374488c"
+
+
+def stage_trace(tail):
+    """The trace fields by the public stages, quartic_of_root ->
+    build_phi -> monic_divrem -> resultant, for the monic quintic with
+    coefficients (1, *tail)."""
+    lam = MPoly.variable("lam")
+    quartic = quartic_of_root(tail[:4], lam)
+    phi = build_phi(quartic)
+    _, phi_bar = monic_divrem(phi, lam * quartic.coeffs[4] + tail[4], "lam")
+    parts = phi_bar.coefficients("lam")
+    r_bar = resultant(BinaryForm([1, *tail]), BinaryForm(
+        [parts[e] if e < len(parts) else 0 for e in range(4, -1, -1)]))
+    return (*quartic.binomial_coeffs(), phi, phi_bar,
+            r_bar.in_universe(sorted({*r_bar.variables, "z"})))
+
+
+def pipeline_tail(form):
+    """The tail of the monic quintic that the numeric pipeline runs on:
+    a form with a0 = 0 is first sheared by (1, 0, c, 1), c = 1, 2, ..."""
+    coeffs, c = form.coeffs, 0
+    while coeffs[0] == 0:
+        c += 1
+        coeffs = act(GroupElement(1, 0, c, 1), form).coeffs
+    return [v / coeffs[0] for v in coeffs[1:]]
+
+
+def assert_same_trace(trace, expected):
+    fields = (*trace.q_coeffs, trace.phi, trace.phi_bar, trace.r_bar)
+    for got, want in zip(fields, expected, strict=True):
+        assert type(got) is type(want)
+        assert got == want
+        if isinstance(got, MPoly):
+            assert got.variables == want.variables
+            assert [type(c) for _, c in got.terms()] \
+                == [type(c) for _, c in want.terms()]
+
+
+@pytest.mark.parametrize("height", ["small", "int20", "rat64"])
+def test_pipeline_trace_equals_the_public_stage_route(height):
+    # the pipeline runs its stages on int term dicts; its trace is what
+    # the public MPoly stages give, a0 = 0 (the shear) included
+    rng = random.Random(f"stage-route-{height}")
+    for i in range(12):
+        coeffs = [draw_coefficient(rng, height) for _ in range(6)]
+        coeffs[0] = 0 if i % 3 == 0 else coeffs[0] or 1
+        coeffs[1] = coeffs[1] or 1
+        form = BinaryForm(coeffs)
+        _, trace = beauville_pipeline(form)
+        assert_same_trace(trace, stage_trace(pipeline_tail(form)))
+
+
+def test_symbolic_pipeline_trace_equals_the_public_stage_route(
+        symbolic_vector):
+    # the generic quintic, and a unit lead whose tail symbols sort around
+    # lam and z, with a5's symbol first
+    _, trace = symbolic_vector
+    assert_same_trace(trace, stage_trace(
+        [MPoly.variable(f"a{i}") for i in range(1, 6)]))
+    tail = [MPoly.variable(n) for n in ("x", "a", "zeta", "mu", "b")]
+    _, trace = beauville_pipeline(BinaryForm([1, *tail]))
+    assert_same_trace(trace, stage_trace(tail))
+
+
+def test_numeric_pipeline_makes_no_mpoly_product_or_sum(monkeypatch):
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        def spy(self, other, _original=getattr(MPoly, name), _name=name):
+            calls.append(_name)
+            return _original(self, other)
+        monkeypatch.setattr(MPoly, name, spy)
+    quartic_of_root([1, 2, 3, 4], MPoly.variable("lam"))
+    assert {"__mul__", "__add__"} <= set(calls)    # the spy sees them
+    calls.clear()
+    rng = random.Random("no-mpoly-arithmetic")
+    for height in ("small", "int20", "rat64"):
+        for a0 in (0, 1):
+            coeffs = [draw_coefficient(rng, height) for _ in range(6)]
+            coeffs[0] = a0 * (coeffs[0] or 1)
+            coeffs[1] = coeffs[1] or 1
+            beauville_pipeline(BinaryForm(coeffs))
+    assert calls == []
+
+
+def test_keyprop_calls_the_determinant_once_through_its_bindings(
+        monkeypatch):
+    # patched at every module binding, as perfbench's tracer patches it:
+    # CI's traced keyprop step reads the 14859 terms it returns
+    original = mpoly.det_fraction_free
+    results = []
+
+    def counted(rows):
+        results.append(original(rows))
+        return results[-1]
+
+    for name, module in list(sys.modules.items()):
+        if name == "binform" or name.startswith("binform."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    assert verify_keyprop()["all_match"]
+    assert [len(r) for r in results] == [14859]
 
 
 class TestSymbolicPipeline:
@@ -911,6 +1014,18 @@ class TestEquivalence:
     def test_symbolic_rejected(self):
         with pytest.raises(TypeError, match="numeric"):
             equivalence_witness(generic_form(5), BinaryForm([1, 0, 0, 0, 0, 1]))
+
+
+@pytest.mark.parametrize("route, message", [
+    (equivalence_witness, "unstable form"),
+    (same_j_data, "repeated roots; j-data undefined"),
+])
+def test_refusals_name_the_quintic(route, message):
+    good, bad = BinaryForm([1, 0, 0, 0, 0, 1]), BinaryForm([1, 0, 0, 0, 0, 0])
+    for pair, which in (((bad, good), "first"), ((good, bad), "second"),
+                        ((bad, bad), "first")):
+        with pytest.raises(ValueError, match=f"^{which} quintic: {message}$"):
+            route(*pair)
 
 
 class TestSameJData:

@@ -348,6 +348,13 @@ class TestJdataCmd:
         assert "repeated roots" in err
 
 
+def test_refusals_name_the_quintic():
+    assert run_cli(["equiv", "1,0,0,0,0,0", FIFTH_POWERS]) \
+        == (2, "", "error: first quintic: unstable form\n")
+    assert run_cli(["jdata", FIFTH_POWERS, "1,2,1,0,0,0"]) \
+        == (2, "", "error: second quintic: repeated roots; j-data undefined\n")
+
+
 class TestDeterminismAndEnvironment:
     def test_byte_stability(self):
         first = run_cli(["beauville", FORM_B])

@@ -611,8 +611,10 @@ def test_closed_form_chain_gives_the_invariants_j_k_l(form):
 def jdata_by_fractions(first, second):
     """same_j_data's rule on the Fraction route: b0..b5 proportional."""
     b1, b2 = fraction_route(first), fraction_route(second)
-    if b1[0] == 0 or b2[0] == 0:
-        raise ValueError("repeated roots; j-data undefined")
+    for which, b in (("first", b1), ("second", b2)):
+        if b[0] == 0:
+            raise ValueError(f"{which} quintic: repeated roots; j-data"
+                             " undefined")
     return all(b2[0] * b1[i] == b1[0] * b2[i] for i in range(1, 6))
 
 
@@ -646,9 +648,8 @@ def jdata_pairs(draw):
 def test_same_j_data_equals_the_fraction_rule(pair):
     try:
         expected = jdata_by_fractions(*pair)
-    except ValueError:
-        with pytest.raises(ValueError,
-                           match="^repeated roots; j-data undefined$"):
+    except ValueError as error:
+        with pytest.raises(ValueError, match=f"^{error}$"):
             same_j_data(*pair)
     else:
         assert same_j_data(*pair) is expected

@@ -52,9 +52,9 @@ def test_packed_key_fields_are_read_in_mpoly_alone():
 
 def test_exact_value_records_share_one_rule():
     # equality and hashing come from mpoly._Record alone; BeauvilleVector
-    # keeps its own list repr
+    # keeps its own list repr, and SylvesterPoint its positional one
     for cls in (invariants.QuarticInvariants, invariants.InvariantVector,
-                beauville.BeauvilleVector):
+                beauville.BeauvilleVector, invariants.SylvesterPoint):
         assert issubclass(cls, mpoly._Record)
         assert not {"__eq__", "__hash__"} & set(vars(cls)), cls.__name__
     quartic = invariants.QuarticInvariants(1, 2)
@@ -62,6 +62,17 @@ def test_exact_value_records_share_one_rule():
     assert quartic != invariants.QuarticInvariants(1, 3)
     assert quartic != beauville.BeauvilleVector([1, 2, 0, 0, 0, 0])
     assert quartic.__eq__((1, 2)) is NotImplemented
+    point = invariants.SylvesterPoint(1, 2, 3)
+    assert point == invariants.SylvesterPoint(1, 2, 3)
+    assert hash(point) == hash(invariants.SylvesterPoint(1, 2, 3))
+    assert point != invariants.SylvesterPoint(1, 2, 4)
+    assert point != invariants.QuarticInvariants(1, 2)
+    assert repr(point) == ("SylvesterPoint(Fraction(1, 1), Fraction(2, 1),"
+                           " Fraction(3, 1))")
+    symbolic = invariants.SylvesterPoint.symbolic()
+    assert symbolic == invariants.SylvesterPoint.symbolic()
+    assert repr(symbolic) \
+        == "SylvesterPoint(MPoly('u'), MPoly('v'), MPoly('w'))"
 
 
 def test_imports_need_only_the_standard_library():
