@@ -18,15 +18,14 @@ from functools import lru_cache
 from itertools import islice
 from math import gcd, isqrt
 
-from .forms import (BinaryForm, GroupElement, _bezout_resultant, _over, act,
-                    weight_of)
+from .forms import (BinaryForm, GroupElement, _bezout_resultant, _over,
+                    _require_forms, act, weight_of)
 from .invariants import (
     InvariantVector,
     _check_graded_degree,
     _require_order,
     monomial_basis,
     _scaled_invariants,
-    _quartic_sums,
     _scaled_quartic,
     sylvester_invariants,
     sylvester_specialize,
@@ -296,9 +295,11 @@ def build_phi(quartic: BinaryForm) -> MPoly:
 
     With the companion quartic of a root plugged in, this has degree at most
     12 in lam and encodes the normalized j-invariant of the root's four-point
-    configuration as its z-root.  A thin wrapper over ``_phi_terms``.
-    Constant S and T, which ``quartic_S`` and ``quartic_T`` give as
-    numbers, leave z alone in phi's universe.
+    configuration as its z-root: the resultant pipeline's phi.  From the
+    int terms s = 12 d^2 S and t = 432 d^3 T of ``_scaled_quartic``,
+    4 s^3 = 6912 d^6 S^3 and t^2 = 6912 d^6 27 T^2.  Constant S and T,
+    which ``quartic_S`` and ``quartic_T`` give as numbers, leave z alone
+    in phi's universe.
     """
     _require_order(quartic, 4, "build_phi")
     if _mentions(quartic.coeffs, "z"):
@@ -307,25 +308,22 @@ def build_phi(quartic: BinaryForm) -> MPoly:
     (vs, d), s, t = _scaled_quartic(quartic)
     universe = tuple(sorted({*vs, "z"} if (set(s) | set(t)) - {0} else {"z"}))
     s, t = (_remap_terms(x, vs, universe) for x in (s, t))
-    return MPoly._make(universe, _phi_terms(s, t, universe), 6912 * d ** 6)
-
-
-def _phi_terms(s: dict, t: dict, vs: tuple) -> dict:
-    """6912 d^6 phi from s = 12 d^2 S and t = 432 d^3 T, int term dicts
-    over vs, which holds z: 4 s^3 = 6912 d^6 S^3, t^2 = 6912 d^6 27 T^2."""
-    _check_degree(max(3 * _max_degree((s,), vs), 2 * _max_degree((t,), vs))
-                  + 1)
+    _check_degree(max(3 * _max_degree((s,), universe),
+                      2 * _max_degree((t,), universe)) + 1)
     s3 = _addmul({}, s, _addmul({}, s, s), 4)
-    return _addmul({k: -c for k, c in s3.items()}, {_unit(vs, "z"): 1},
-                   _addmul(dict(s3), t, t, -1))
+    phi = _addmul({k: -c for k, c in s3.items()}, {_unit(universe, "z"): 1},
+                  _addmul(dict(s3), t, t, -1))
+    return MPoly._make(universe, phi, 6912 * d ** 6)
 
 
 def _core_pipeline(tail) -> TschirnhausTrace:
     """Run the resultant pipeline for a monic quintic with coefficient tail
     (a1..a5): rationals in numeric mode, coefficient symbols in symbolic
-    mode.  The trace's r_bar is the resultant the entries are read from.
-    The stages pass int term dicts over the tail symbols, lam and z, each
-    over one denominator; MPolys are made for the trace alone.
+    mode; the trace's r_bar is the resultant the entries are read from.
+    The tail is cleared once, to int term dicts over its symbols, lam and
+    z; phi is ``build_phi`` of the companion quartic, and the reduction
+    mod f and the resultant run on the kernels behind ``monic_divrem`` and
+    ``resultant``.
     """
     vs = tuple(sorted({*_universe(tail), "lam", "z"}))
     n, d = _int_terms(tail, vs)
@@ -333,20 +331,19 @@ def _core_pipeline(tail) -> TschirnhausTrace:
     for ni in n:
         b.append(_addmul(dict(ni), {_unit(vs, "lam"): 1}, b[-1]))
 
-    def over(terms, names, den):    # in the universe of lam and names
-        u = tuple(sorted({"lam", *_universe(names)}))
-        return MPoly._make(u, _remap_terms(terms, vs, u), den)
+    def coefficient(i):     # b[i] / d over lam and the symbols of a1..ai
+        u = tuple(sorted({"lam", *_universe(tail[:i])}))
+        return MPoly._make(u, _remap_terms(b[i], vs, u), d)
 
-    quartic = BinaryForm([1, *(over(b[i], tail[:i], d) for i in range(1, 5))])
-    phi = over(_phi_terms(*_quartic_sums(b[:5], vs), vs),
-               [*tail[:4], MPoly.variable("z")], 6912 * d ** 6)
+    quartic = BinaryForm([1, *map(coefficient, range(1, 5))])
+    phi = build_phi(quartic)
     _, r, s = _divrem(_remap_terms(phi._terms, phi._vars, vs), b[5], d, vs,
                       "lam")
     phi_bar = MPoly._make(vs, r, phi._den * s)
     rest, parts = _coefficient_terms(phi_bar._terms, vs, "lam")
-    r_bar = _bezout_resultant(*_int_terms([1, *tail], rest),
-                              [{}] * (5 - len(parts)) + parts[::-1],
-                              phi_bar._den, rest)
+    r_bar = _bezout_resultant(
+        [_remap_terms(c, vs, rest) for c in [{0: d}, *n]], d,
+        [{}] * (5 - len(parts)) + parts[::-1], phi_bar._den, rest)
     return TschirnhausTrace(quartic.binomial_coeffs(), phi, phi_bar, r_bar)
 
 
@@ -429,16 +426,17 @@ def beauville_closed_form(quintic: BinaryForm) -> BeauvilleVector:
     one int dot product S_i with its table's int coefficients, divided
     once by the table's content times q**6.
     """
-    sums, q6 = _closed_form_sums(quintic)
+    sums, q6 = _closed_form_sums(*_numeric_jkl(
+        quintic, "beauville_closed_form",
+        "closed-form route needs a numeric quintic"))
     return BeauvilleVector(
         [Fraction(content.numerator * s, content.denominator * q6)
          for (content, _), s in zip(_INT_TABLES, sums)])
 
 
-def _closed_form_sums(quintic: BinaryForm) -> tuple:
-    """The six dot products S_i of ``beauville_closed_form``, and q**6."""
-    J, K, L, _ = _numeric_jkl(quintic, "beauville_closed_form",
-                              "closed-form route needs a numeric quintic")
+def _closed_form_sums(J, K, L, _chain) -> tuple:
+    """The six dot products S_i of ``beauville_closed_form``, and q**6,
+    from a quintic's ``_numeric_jkl``."""
     q = J.denominator
     q *= K.denominator // gcd(K.denominator, q * q)
     q *= L.denominator // gcd(L.denominator, q ** 3)
@@ -451,16 +449,18 @@ def _closed_form_sums(quintic: BinaryForm) -> tuple:
              for _, table in _INT_TABLES], q3 * q3)
 
 
-def _numeric_jkl(quintic: BinaryForm, what: str, message: str) -> tuple:
+def _numeric_jkl(quintic: BinaryForm, what: str, message=None) -> tuple:
     """J, K, L of a quintic as Fractions, then the rest of its
-    ``_scaled_invariants`` (H's pair, when asked).  Errors name the route
-    ``what``, or raise TypeError(message) when J, K or L is not a number."""
+    ``_scaled_invariants`` (H's pair, when asked).  Errors begin with
+    ``what``, such as "first quintic: same_j_data"; when J, K or L is not
+    a number, the TypeError is ``message``, by default "<what> needs a
+    numeric quintic"."""
     _require_order(quintic, 5, what)
     chain = _scaled_invariants(quintic)
     jkl = [_as_exact(_over(n, d))    # a constant MPoly as a Fraction
            for n, d in islice(chain, 3)]
     if any(isinstance(x, MPoly) for x in jkl):
-        raise TypeError(message)
+        raise TypeError(message or f"{what} needs a numeric quintic")
     return (*jkl, chain)
 
 
@@ -762,10 +762,10 @@ def equivalence_witness(first: BinaryForm, second: BinaryForm) -> dict:
     pins: Disc = 3125 (J^2 - 128 K) is nonzero in a stable form, so J and
     K never both vanish.  H is computed only when it is read.
     """
-    *v1, rest1 = _numeric_jkl(first, "equivalence_witness",
-                              "equivalence_witness needs numeric quintics")
-    *v2, rest2 = _numeric_jkl(second, "equivalence_witness",
-                              "equivalence_witness needs numeric quintics")
+    _require_forms("equivalence_witness", first, second)
+    (*v1, rest1), (*v2, rest2) = (
+        _numeric_jkl(form, f"{which} quintic: equivalence_witness")
+        for which, form in (("first", first), ("second", second)))
     for which, (J, K, _) in (("first", v1), ("second", v2)):
         if J * J == 128 * K:
             raise ValueError(f"{which} quintic: unstable form")
@@ -808,8 +808,10 @@ def same_j_data(first: BinaryForm, second: BinaryForm) -> bool:
     Decided exactly on the ints of ``_closed_form_sums``: b_i = c_i S_i /
     q**6 with c_i != 0, so S2_0 S1_i = S1_0 S2_i iff b2_0 b1_i = b1_0 b2_i.
     """
-    s1, _ = _closed_form_sums(first)
-    s2, _ = _closed_form_sums(second)
+    _require_forms("same_j_data", first, second)
+    (s1, _), (s2, _) = (
+        _closed_form_sums(*_numeric_jkl(form, f"{which} quintic: same_j_data"))
+        for which, form in (("first", first), ("second", second)))
     which = "first" if s1[0] == 0 else "second" if s2[0] == 0 else None
     if which:
         raise ValueError(f"{which} quintic: repeated roots; j-data undefined")

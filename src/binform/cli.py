@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 import time
 from fractions import Fraction
@@ -60,21 +59,21 @@ def _digits(text: str) -> int:
     return digits
 
 
-def _parse_quintic(text: str) -> BinaryForm:
+def _parse_quintic(text: str, name: str = "quintic") -> BinaryForm:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 6:
-        raise ValueError(
-            f"expected six comma-separated coefficients, got {len(parts)}")
+        raise ValueError(f"{name}: expected six comma-separated"
+                         f" coefficients, got {len(parts)}")
     for i, part in enumerate(parts):
         if _digits(part) > _MAX_DIGITS:
             raise ValueError(
-                f"coefficient a{i} has more than {_MAX_DIGITS} digits")
+                f"{name}: coefficient a{i} has more than {_MAX_DIGITS} digits")
     try:
         values = [Fraction(p) for p in parts]
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse coefficient: {exc}") from None
+        raise ValueError(f"{name}: cannot parse coefficient: {exc}") from None
     if all(v == 0 for v in values):
-        raise ValueError("zero form")
+        raise ValueError(f"{name}: zero form")
     return BinaryForm(values)
 
 
@@ -183,16 +182,16 @@ def _cmd_decompose48(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    first = _parse_quintic(args.first)
-    second = _parse_quintic(args.second)
+    first = _parse_quintic(args.first, "first quintic")
+    second = _parse_quintic(args.second, "second quintic")
     witness = equivalence_witness(first, second)
     _emit(witness)
     return 0 if witness["equivalent"] else 1
 
 
 def _cmd_jdata(args) -> int:
-    first = _parse_quintic(args.first)
-    second = _parse_quintic(args.second)
+    first = _parse_quintic(args.first, "first quintic")
+    second = _parse_quintic(args.second, "second quintic")
     same = same_j_data(first, second)
     _emit({"same_j_data": same})
     return 0 if same else 1
@@ -257,35 +256,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DATA_TOKEN = re.compile(r"^-(\d|\.\d)")
-_OPTIONS_WITH_VALUE = {"--seed"}
-
-
 def _reorder_argv(argv):
-    """Move flags ahead of positional data and fence the data with '--'.
-
-    Coefficient strings routinely start with a minus sign ("-2,-15,...");
-    without the fence argparse would read them as option flags.  A token is
-    data when a digit follows the leading dash — no registered option looks
-    like that.
+    """Move the coefficient lists, the tokens that hold a comma, behind a
+    '--' fence (or behind the user's), so that argparse does not read a
+    list such as "-2,-15,..." as a flag.  Every other token stays in place:
+    argparse reads "--seed -3" or "dim -4" itself, since no registered
+    option looks like a negative number.
     """
-    if not argv or argv[0].startswith("-"):
-        return argv
-    head, opts, data = [argv[0]], [], []
-    rest = iter(argv[1:])
-    for token in rest:
-        if token == "--":
-            data.extend(rest)
-            break
-        if token.startswith("-") and not _DATA_TOKEN.match(token):
-            opts.append(token)
-            if token in _OPTIONS_WITH_VALUE:
-                value = next(rest, None)
-                if value is not None:
-                    opts.append(value)
-        else:
-            data.append(token)
-    return head + opts + ["--"] + data
+    head = argv[:argv.index("--")] if "--" in argv else argv
+    data = [token for token in head if "," in token]
+    rest = argv[len(head) + 1:]
+    if not data:    # argparse refuses a fence that nothing follows
+        return argv if rest else head
+    return [token for token in head if "," not in token] + ["--"] + data + rest
 
 
 def main(argv=None) -> int:

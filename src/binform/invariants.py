@@ -122,11 +122,6 @@ def _scaled_quartic(quartic: BinaryForm) -> Iterator:
     vs = _universe(quartic.coeffs)
     n, d = _int_terms(quartic.coeffs, vs)
     yield vs, d
-    yield from _quartic_sums(n, vs)
-
-
-def _quartic_sums(n: list, vs: tuple) -> Iterator:
-    """``_scaled_quartic``'s s, then t, from the int term dicts n over vs."""
     n0, n1, n2, n3, n4 = n
     e0, e1, e2, e3, e4 = (_max_degree((c,), vs) for c in n)
     _check_degree(max(e0 + e4, e1 + e3, 2 * e2))

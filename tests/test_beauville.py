@@ -564,6 +564,31 @@ def test_keyprop_calls_the_determinant_once_through_its_bindings(
     assert [len(r) for r in results] == [14859]
 
 
+def test_pipeline_takes_phi_from_build_phi_once_through_its_bindings(
+        monkeypatch):
+    # patched at every module binding, as perfbench's tracer patches it:
+    # its phi stage row reads build_phi, and the trace's phi is its result
+    original = beauville.build_phi
+    results = []
+
+    def counted(quartic):
+        results.append(original(quartic))
+        return results[-1]
+
+    for name, module in list(sys.modules.items()):
+        if name == "binform" or name.startswith("binform."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    forms = [BinaryForm([2, -3, Fraction(1, 7), 0, 5, -1]),
+             BinaryForm([0, 1, 0, -2, 3, 1]),    # a0 = 0: the shear path
+             generic_form(5)]
+    for calls, form in enumerate(forms, 1):
+        _, trace = beauville_pipeline(form)
+        assert len(results) == calls
+        assert trace.phi is results[-1]
+
+
 class TestSymbolicPipeline:
     def test_entries_homogeneous_isobaric(self, symbolic_vector):
         vector, _ = symbolic_vector
@@ -1126,8 +1151,8 @@ ROUTES_GIVEN_A_LIST = [
     (equivalence_witness, (QUINTIC, COEFFS), "equivalence_witness"),
     (equivalence_witness, (COEFFS, QUINTIC), "equivalence_witness"),
     (gl2_equivalent, (COEFFS, QUINTIC), "equivalence_witness"),
-    (same_j_data, (QUINTIC, COEFFS), "beauville_closed_form"),
-    (same_j_data, (COEFFS, QUINTIC), "beauville_closed_form"),
+    (same_j_data, (QUINTIC, COEFFS), "same_j_data"),
+    (same_j_data, (COEFFS, QUINTIC), "same_j_data"),
     (discriminant, (COEFFS,), "discriminant"),
     (resultant, (QUINTIC, COEFFS), "resultant"),
     (resultant, (COEFFS, QUINTIC), "resultant"),

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import pytest
 from conftest import run_cli
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import binform
 from binform.cli import main as cli_main
@@ -353,6 +355,100 @@ def test_refusals_name_the_quintic():
         == (2, "", "error: first quintic: unstable form\n")
     assert run_cli(["jdata", FIFTH_POWERS, "1,2,1,0,0,0"]) \
         == (2, "", "error: second quintic: repeated roots; j-data undefined\n")
+
+
+# hostile inputs to the quintic subcommands, with the start of the one
+# error line, which names the argument at fault
+HOSTILE = [
+    (["invariants", "0,0,0,0,0,0"], "quintic: zero form"),
+    (["invariants", "1,2,3"], "quintic: expected six"),
+    (["invariants", "1,2,x,4,5,6"], "quintic: cannot parse coefficient"),
+    (["invariants", "1e100000,1,2,3,4,5"],
+     "quintic: coefficient a0 has more than 4300 digits"),
+    (["beauville", "--pipeline", "0,0,0,0,0,0"], "quintic: zero form"),
+    (["beauville", "-1,2"], "quintic: expected six"),
+    (["beauville", "1,1,1,1,1," + "9" * 4301],
+     "quintic: coefficient a5 has more than 4300 digits"),
+    (["equiv", "0,0,0,0,0,0", FIFTH_POWERS], "first quintic: zero form"),
+    (["equiv", FIFTH_POWERS, "1,2,3,4,5,6,7"], "second quintic: expected six"),
+    (["equiv", REPEATED, FIFTH_POWERS], "first quintic: unstable form"),
+    (["equiv", FIFTH_POWERS, REPEATED], "second quintic: unstable form"),
+    (["jdata", "-1/0,1,1,1,1,1", FIFTH_POWERS],
+     "first quintic: cannot parse coefficient"),
+    (["jdata", FIFTH_POWERS, "1," + "9" * 4301 + ",2,3,4,5"],
+     "second quintic: coefficient a1 has more than 4300 digits"),
+    (["jdata", "1,2,1,0,0,0", FIFTH_POWERS],
+     "first quintic: repeated roots; j-data undefined"),
+]
+
+
+@pytest.mark.parametrize("argv, start", HOSTILE,
+                         ids=[f"{argv[0]}-{i}"
+                              for i, (argv, _) in enumerate(HOSTILE)])
+def test_hostile_inputs_name_the_argument(argv, start):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: {start}")
+
+
+SEEDS = st.integers(-50, 50).map(str)
+QUINTICS = st.lists(
+    st.one_of(st.integers(-9, 9).map(str),
+              st.builds("{}/{}".format, st.integers(-9, 9),
+                        st.integers(1, 9))),
+    min_size=6, max_size=6).map(",".join)
+
+
+@st.composite
+def cli_calls(draw):
+    """A well-formed call as (command, flags, positionals); each flag is
+    its tokens as typed and in the canonical ``--flag=value`` spelling."""
+    command = draw(st.sampled_from(
+        ["invariants", "beauville", "verify", "dim", "basis", "decompose48",
+         "equiv", "jdata"]))
+    flags = []
+    if command in ("invariants", "beauville"):
+        positionals = [draw(QUINTICS)]
+        if command == "beauville" and draw(st.booleans()):
+            flags.append((["--pipeline"], ["--pipeline"]))
+    elif command in ("equiv", "jdata"):
+        positionals = [draw(QUINTICS), draw(QUINTICS)]
+    elif command == "verify":   # keyprop is left out for its cost
+        positionals = [draw(st.sampled_from(
+            ["disc", "relation", "prop48", "dims"]))]
+        if draw(st.booleans()):
+            seed = draw(SEEDS)
+            typed = draw(st.sampled_from(
+                [["--seed", seed], [f"--seed={seed}"]]))
+            flags.append((typed, [f"--seed={seed}"]))
+    elif command in ("dim", "basis"):
+        positionals = [str(draw(st.integers(-12, 60)))]
+    else:
+        positionals = [str(draw(st.integers(-3, 12))) for _ in range(3)]
+    if command in ("dim", "basis", "decompose48") and draw(st.booleans()):
+        flags.append((["--json"], ["--json"]))
+    return command, flags, positionals
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(cli_calls(), st.data())
+def test_argv_order_does_not_change_the_result(call, data):
+    # flags anywhere among the positionals, and perhaps a '--' typed after
+    # the last flag, against flags, then '--', then the positionals
+    command, flags, positionals = call
+    items = [[p] for p in positionals]
+    for typed, _ in flags:
+        items.insert(data.draw(st.integers(0, len(items))), typed)
+    argv, after_flags = [command], 1
+    for item in items:
+        argv += item
+        if item[0].startswith("--"):
+            after_flags = len(argv)
+    if data.draw(st.booleans()):
+        argv.insert(data.draw(st.integers(after_flags, len(argv))), "--")
+    canonical = [command, *(t for _, c in flags for t in c), "--",
+                 *positionals]
+    assert run_cli(argv)[:2] == run_cli(canonical)[:2]
 
 
 class TestDeterminismAndEnvironment:

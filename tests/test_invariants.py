@@ -159,6 +159,15 @@ class TestQuarticRoutesAgree:
         self.assert_same(quartic_S(q), Fraction(15, 4))
         self.assert_same(quartic_T(q), Fraction(5, 8))
 
+    def test_S_runs_without_T(self):
+        # S has degree 50000 here, within the limit; T's 75000 is not, and
+        # a kernel that made T before S would refuse S too
+        x = MPoly.variable("x")
+        q = BinaryForm([1, 0, x ** 25000, 0, 1])
+        assert quartic_S(q).total_degree() == 50000
+        with pytest.raises(OverflowError, match="total degree 75000"):
+            quartic_T(q)
+
 
 class TestJInvariant:
     def test_harmonic_is_one(self):
