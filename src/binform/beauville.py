@@ -77,11 +77,12 @@ def _int_triple(triple) -> tuple:
     return key
 
 
-class JKLPolynomial:
+class JKLPolynomial(_Record):
     """A polynomial in the three basic invariants, stored sparsely.
 
     Keys are exponent triples (a1, a2, a3) for the monomial
-    L**a1 * K**a2 * J**a3; values are exact rationals.
+    L**a1 * K**a2 * J**a3; values are exact rationals.  The terms are
+    stored in ``items()`` order, so that the record's hash is canonical.
     """
 
     __slots__ = ("terms",)
@@ -93,7 +94,7 @@ class JKLPolynomial:
             value = _as_fraction(value)
             if value:
                 clean[key] = value
-        self.terms = clean
+        self.terms = dict(sorted(clean.items(), reverse=True))
 
     @property
     def degree(self):
@@ -103,7 +104,7 @@ class JKLPolynomial:
 
     def items(self):
         """Triples and coefficients, L-exponent then K-exponent descending."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
+        return list(self.terms.items())
 
     def __add__(self, other):
         if not isinstance(other, JKLPolynomial):
@@ -132,17 +133,10 @@ class JKLPolynomial:
     __rmul__ = __mul__
 
     def evaluate(self, J, K, L):
-        """Plug in values (rational or polynomial) for the three symbols."""
-        monomials = _monomials(self.terms, (L, K, J))
+        """Plug in values (rational or polynomial) for the three symbols;
+        any other value raises TypeError, as in ``_as_fraction``."""
+        monomials = _monomials(self.terms, map(_as_exact, (L, K, J)))
         return sum((c * m for c, m in zip(self.terms.values(), monomials)), 0)
-
-    def __eq__(self, other):
-        if not isinstance(other, JKLPolynomial):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         if not self.terms:
@@ -159,20 +153,22 @@ class JKLPolynomial:
 # the six expected degree-24 closed forms
 # ---------------------------------------------------------------------------
 
-KEYPROP_TABLES = (
-    Fraction(5 ** 15, 2 ** 40) * JKLPolynomial({
+# each table once, as its rational content and the int coefficients of
+# table / content: the one source of KEYPROP_TABLES and _INT_TABLES
+_TABLES = (
+    (Fraction(5 ** 15, 2 ** 40), {
         (0, 3, 0): -2 ** 21,
         (0, 2, 2): 2 ** 14 * 3,
         (0, 1, 4): -2 ** 7 * 3,
         (0, 0, 6): 1,
     }),
-    Fraction(5 ** 16, 2 ** 35 * 3 ** 3) * JKLPolynomial({
+    (Fraction(5 ** 16, 2 ** 35 * 3 ** 3), {
         (0, 3, 0): 2 ** 16 * 7,
         (0, 2, 2): -2 ** 10 * 23,
         (0, 1, 4): 2 ** 2 * 71,
         (0, 0, 6): -1,
     }),
-    Fraction(5 ** 16, 2 ** 30 * 3 ** 6) * JKLPolynomial({
+    (Fraction(5 ** 16, 2 ** 30 * 3 ** 6), {
         (1, 1, 1): 2 ** 11 * 5 ** 3,
         (1, 0, 3): -2 ** 4 * 5 ** 3,
         (0, 3, 0): -2 ** 15 * 3,
@@ -180,7 +176,7 @@ KEYPROP_TABLES = (
         (0, 1, 4): -3 * 131,
         (0, 0, 6): 2,
     }),
-    Fraction(5 ** 16, 2 ** 25 * 3 ** 9) * JKLPolynomial({
+    (Fraction(5 ** 16, 2 ** 25 * 3 ** 9), {
         (2, 0, 0): -2 ** 11 * 5 ** 4,
         (1, 1, 1): -2 ** 9 * 3 * 5 ** 3,
         (1, 0, 3): 2 * 5 ** 3 * 11,
@@ -189,7 +185,7 @@ KEYPROP_TABLES = (
         (0, 1, 4): 3 ** 5,
         (0, 0, 6): -2,
     }),
-    Fraction(5 ** 16, 2 ** 22 * 3 ** 12) * JKLPolynomial({
+    (Fraction(5 ** 16, 2 ** 22 * 3 ** 12), {
         (1, 1, 1): -2 ** 5 * 3 ** 2 * 5 ** 3,
         (1, 0, 3): -5 ** 3 * 29,
         (0, 3, 0): -2 ** 7 * 11,
@@ -197,13 +193,21 @@ KEYPROP_TABLES = (
         (0, 1, 4): -2 ** 2 * 59,
         (0, 0, 6): 2 ** 2,
     }),
-    Fraction(5 ** 15, 2 ** 15 * 3 ** 15) * JKLPolynomial({
+    (Fraction(5 ** 15, 2 ** 15 * 3 ** 15), {
         (0, 3, 0): 3 ** 3,
         (0, 2, 2): -3 ** 3,
         (0, 1, 4): 3 ** 2,
         (0, 0, 6): -1,
     }),
 )
+KEYPROP_TABLES = tuple(content * JKLPolynomial(ints)
+                       for content, ints in _TABLES)
+_BASIS_24 = tuple(monomial_basis(24))
+# the tables in the form beauville_closed_form evaluates: the content and
+# (index in the basis, int coefficient) pairs
+_INT_TABLES = tuple((content, tuple((_BASIS_24.index(t), c)
+                                    for t, c in ints.items()))
+                    for content, ints in _TABLES)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +251,7 @@ class BeauvilleVector(_Record):
         return f"BeauvilleVector({list(self.b)!r})"
 
 
-class TschirnhausTrace:
+class TschirnhausTrace(_Record):
     """Audit record of the pipeline intermediates.
 
     q_coeffs  five binomial-convention coefficients of the companion quartic,
@@ -381,12 +385,14 @@ def beauville_pipeline(quintic: BinaryForm):
         lead = working[0]
         tail = [v / lead for v in working[1:]]
         trace = _core_pipeline(tail)
-        ints, den = trace.r_bar._dense_ints(5)
-        g = gcd(lead.numerator ** 24, den)    # cancelled once, not per entry
+        r_bar = trace.r_bar
+        _, parts = _coefficient_terms(r_bar._terms, r_bar._vars, "z")
+        ints = [part.get(0, 0) for part in parts] + [0] * (6 - len(parts))
+        g = gcd(lead.numerator ** 24, r_bar._den)   # once, not per entry
         scale = lead.numerator ** 24 // g
-        den = den // g * lead.denominator ** 24
+        den = r_bar._den // g * lead.denominator ** 24
         return BeauvilleVector([Fraction(c * scale, den)
-                                for c in ints]), trace
+                                for c in reversed(ints)]), trace
 
     names = [_symbol_name(c) for c in quintic.coeffs]
     lead_name = names[0]
@@ -462,20 +468,6 @@ def _numeric_jkl(quintic: BinaryForm, what: str, message=None) -> tuple:
     if any(isinstance(x, MPoly) for x in jkl):
         raise TypeError(message or f"{what} needs a numeric quintic")
     return (*jkl, chain)
-
-
-def _int_table(table: JKLPolynomial) -> tuple:
-    """A degree-24 table as its rational content and the int coefficients
-    of table / content, as (index in the basis, coefficient) pairs for the
-    nonzero ones."""
-    ints, d = _cleared(table.terms.get(t, 0) for t in _BASIS_24)
-    g = gcd(*ints)
-    return Fraction(g, d), tuple((i, c // g) for i, c in enumerate(ints) if c)
-
-
-_BASIS_24 = tuple(monomial_basis(24))
-# KEYPROP_TABLES in the form beauville_closed_form evaluates
-_INT_TABLES = tuple(_int_table(table) for table in KEYPROP_TABLES)
 
 
 # ---------------------------------------------------------------------------

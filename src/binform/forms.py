@@ -15,10 +15,10 @@ from functools import lru_cache
 from math import comb, factorial, perm
 from typing import Sequence
 
-from .mpoly import (MPoly, Scalar, _addmul, _as_exact, _as_fraction,
-                    _check_degree, _cleared, _int_terms, _max_degree,
-                    _mentions, _monomials, _product, _universe,
-                    det_fraction_free)
+from .mpoly import (MPoly, Scalar, _Record, _addmul, _as_exact,
+                    _as_fraction, _check_degree, _cleared, _int_exponent,
+                    _int_terms, _max_degree, _mentions, _monomials, _product,
+                    _universe, det_fraction_free)
 
 __all__ = [
     "BinaryForm", "GroupElement",
@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-class GroupElement:
+class GroupElement(_Record):
     """An invertible 2x2 matrix with exact rational entries."""
 
     __slots__ = ("a", "b", "c", "d")
@@ -61,18 +61,15 @@ class GroupElement:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-
     def __repr__(self) -> str:
         return f"GroupElement({self.a}, {self.b}, {self.c}, {self.d})"
 
 
 def weight_of(degree: int, source_order: int, order: int) -> int:
     """Weight of a covariant of given degree and order of a p-form."""
-    w2 = degree * source_order - order
+    w2 = (_int_exponent(degree, "degree")
+          * _int_exponent(source_order, "source_order")
+          - _int_exponent(order, "order"))
     if w2 < 0 or w2 % 2:
         raise ValueError(
             f"no covariant of degree {degree}, order {order} on a form of "
@@ -80,7 +77,7 @@ def weight_of(degree: int, source_order: int, order: int) -> int:
     return w2 // 2
 
 
-class BinaryForm:
+class BinaryForm(_Record):
     """A binary form, stored as its ordered coefficient vector: each
     coefficient a Fraction or a non-constant MPoly."""
 
@@ -168,12 +165,6 @@ class BinaryForm:
     def __neg__(self) -> "BinaryForm":
         return BinaryForm([-c for c in self.coeffs])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BinaryForm):
-            return NotImplemented
-        return self.order == other.order and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs))
-
     def __repr__(self) -> str:
         return f"BinaryForm([{', '.join(str(c) for c in self.coeffs)}])"
 
@@ -226,7 +217,8 @@ def transvectant(f: BinaryForm, g: BinaryForm, k: int) -> BinaryForm:
     by their common denominator.
     """
     _require_forms("transvectant", f, g)
-    out, den = _transvectant_sum(f.coeffs, g.coeffs, k)
+    out, den = _transvectant_sum(f.coeffs, g.coeffs,
+                                 _int_exponent(k, "transvectant index"))
     return BinaryForm([_over(c, den) for c in out])
 
 
@@ -380,7 +372,7 @@ def form_from_roots(roots: Sequence) -> BinaryForm:
 def generic_form(order: int, prefix: str = "a") -> BinaryForm:
     """A form of the given order whose coefficients are fresh symbols
     prefix0, prefix1, ..., prefixP."""
-    if order < 0:
+    if _int_exponent(order, "order") < 0:
         raise ValueError("order must be nonnegative")
     return BinaryForm([MPoly.variable(f"{prefix}{i}")
                        for i in range(order + 1)])

@@ -43,11 +43,11 @@ def _check_degree(degree: int) -> None:
             f"total degree {degree} exceeds the supported maximum {_MASK}")
 
 
-def _int_exponent(e) -> int:
-    """An exponent as an int; any other exponent, a bool or a float
-    included, raises TypeError: exponents follow the rule for numbers."""
+def _int_exponent(e, what: str = "exponent") -> int:
+    """An exponent, or another int argument named by ``what``, as an int;
+    anything else, a bool or a float included, raises TypeError."""
     if isinstance(e, bool) or not isinstance(e, int):
-        raise TypeError(f"exponent {e!r} is not an int")
+        raise TypeError(f"{what} {e!r} is not an int")
     return e
 
 
@@ -324,16 +324,6 @@ class MPoly:
         dsh = self._n * _BITS
         return all(k >> dsh == degree for k in self._terms)
 
-    def _dense_ints(self, degree: int) -> tuple:
-        """The stored ints of the coefficients of x**degree, ..., x**0 in a
-        polynomial in its one variable x, and the denominator they are
-        over; terms above x**degree are not read."""
-        if self._n != 1:
-            raise ValueError("not a polynomial in one variable")
-        unit = _unit(self._vars, self._vars[0])
-        return ([self._terms.get(e * unit, 0) for e in range(degree, -1, -1)],
-                self._den)
-
     def constant_value(self) -> Fraction:
         if not self._terms:
             return Fraction(0)
@@ -536,8 +526,9 @@ def _apart(names, used) -> str:
 class _Record:
     """An exact-value record over the fields named by its ``__slots__``:
     equal to another record of the same type with equal fields, hashed on
-    the type name and each field's text (an MPoly field is not hashable),
-    and shown with its fields named."""
+    the type name and each field's text (an MPoly field is not hashable;
+    a dict field's text follows its order, which its class keeps
+    canonical), and shown with its fields named."""
 
     __slots__ = ()
 

@@ -149,6 +149,14 @@ class TestJKLPolynomial:
         p = JKLPolynomial({(1, 1, 1): 2, (0, 0, 2): -1})
         assert p.evaluate(J=3, K=5, L=7) == 2 * 7 * 5 * 3 - 9
 
+    @pytest.mark.parametrize("value", [1.5, True, "2"],
+                             ids=["float", "bool", "str"])
+    def test_evaluate_refuses_inexact_values(self, value):
+        table = KEYPROP_TABLES[5]
+        for args in ((value, 2, 3), (1, value, 3), (1, 2, value)):
+            with pytest.raises(TypeError, match="^not an exact rational: "):
+                table.evaluate(*args)
+
     def test_equality_and_hash(self):
         p = JKLPolynomial({(1, 0, 0): Fraction(1, 2)})
         q = JKLPolynomial({(1, 0, 0): Fraction(2, 4)})
@@ -496,6 +504,20 @@ def assert_same_trace(trace, expected):
             assert got.variables == want.variables
             assert [type(c) for _, c in got.terms()] \
                 == [type(c) for _, c in want.terms()]
+
+
+@pytest.mark.parametrize("height", ["small", "int20", "rat64"])
+def test_traces_of_one_quintic_are_equal_records(height):
+    # two runs on one quintic give two trace objects with equal fields:
+    # they compare and hash equal, and a changed quintic's trace differs
+    rng = random.Random(f"trace-record-{height}")
+    form = BinaryForm([draw_coefficient(rng, height) or 1 for _ in range(6)])
+    other = BinaryForm([*form.coeffs[:5], form.coeffs[5] + 1])
+    (_, trace), (_, again), (_, changed) = map(beauville_pipeline,
+                                               (form, form, other))
+    assert trace is not again
+    assert trace == again and hash(trace) == hash(again)
+    assert trace != changed
 
 
 @pytest.mark.parametrize("height", ["small", "int20", "rat64"])

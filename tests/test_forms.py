@@ -110,6 +110,25 @@ class TestWeights:
             weight_of(1, 5, 2)
 
 
+QUINTIC = BinaryForm([1, 2, 0, -1, 3, 1])
+
+
+@pytest.mark.parametrize("value", [True, 2.0, "2"],
+                         ids=["bool", "float", "str"])
+@pytest.mark.parametrize("name,call", [
+    ("transvectant index", lambda n: transvectant(QUINTIC, QUINTIC, n)),
+    ("order", generic_form),
+    ("degree", lambda n: weight_of(n, 5, 0)),
+    ("source_order", lambda n: weight_of(2, n, 0)),
+    ("order", lambda n: weight_of(2, 5, n)),
+], ids=["transvectant-k", "generic_form-order", "weight_of-degree",
+        "weight_of-source_order", "weight_of-order"])
+def test_integer_arguments_refuse_other_numbers(name, call, value):
+    # True once read as 1 and 2.0 gave float weights
+    with pytest.raises(TypeError, match=f"^{name} {value!r} is not an int$"):
+        call(value)
+
+
 class TestBinaryForm:
     def test_order_and_zero(self):
         f = BinaryForm([1, 0, 0])

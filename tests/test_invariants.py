@@ -308,6 +308,13 @@ class TestQuinticInvariants:
         assert first == second
         assert hash(first) == hash(second)
 
+    def test_as_dict(self):
+        vector = quintic_invariants(BinaryForm([1, 1, 0, 0, -1, 2]))
+        fields = vector.as_dict()
+        assert list(fields) == ["J", "K", "L", "H", "Disc"]
+        assert all(value is getattr(vector, name)
+                   for name, value in fields.items())
+
     def test_json_round_trip(self):
         vector = quintic_invariants(BinaryForm([1, 1, 0, 0, -1, 2]))
         payload = vector.to_json_dict()

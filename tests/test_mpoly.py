@@ -404,11 +404,6 @@ class TestCalculusAndSubstitution:
             assert sum((c * X ** k for k, c in enumerate(split)),
                        MPoly.zero()) == f
 
-    def test_dense_ints_need_one_variable(self):
-        with pytest.raises(ValueError,
-                           match="^not a polynomial in one variable$"):
-            (X * Y)._dense_ints(2)
-
     @pytest.mark.parametrize("power", [True, 1.0, "1"])
     def test_coefficient_power_is_an_int(self, power):
         p = X ** 2 * Y + X * Y

@@ -3,9 +3,11 @@ function and class it defines, and the package exports exactly those."""
 
 import ast
 import inspect
+import operator
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -52,9 +54,12 @@ def test_packed_key_fields_are_read_in_mpoly_alone():
 
 def test_exact_value_records_share_one_rule():
     # equality and hashing come from mpoly._Record alone; BeauvilleVector
-    # keeps its own list repr, and SylvesterPoint its positional one
+    # keeps its own list repr, SylvesterPoint its positional one, and
+    # GroupElement, BinaryForm and JKLPolynomial theirs (their own tests)
     for cls in (invariants.QuarticInvariants, invariants.InvariantVector,
-                beauville.BeauvilleVector, invariants.SylvesterPoint):
+                beauville.BeauvilleVector, invariants.SylvesterPoint,
+                forms.GroupElement, forms.BinaryForm,
+                beauville.JKLPolynomial, beauville.TschirnhausTrace):
         assert issubclass(cls, mpoly._Record)
         assert not {"__eq__", "__hash__"} & set(vars(cls)), cls.__name__
     quartic = invariants.QuarticInvariants(1, 2)
@@ -73,6 +78,47 @@ def test_exact_value_records_share_one_rule():
     assert symbolic == invariants.SylvesterPoint.symbolic()
     assert repr(symbolic) \
         == "SylvesterPoint(MPoly('u'), MPoly('v'), MPoly('w'))"
+    g = forms.GroupElement(1, Fraction(1, 2), -3, 2)
+    assert g == forms.GroupElement(Fraction(2, 2), Fraction(1, 2), -3, 2)
+    assert hash(g) == hash(forms.GroupElement(1, Fraction(1, 2), -3, 2))
+    assert g != forms.GroupElement(1, 0, -3, 2)
+    x = mpoly.MPoly.variable("x")
+    form = forms.BinaryForm([1, x, Fraction(1, 2)])
+    wider = forms.BinaryForm([1, x.in_universe(("x", "y")), Fraction(2, 4)])
+    assert form == wider and hash(form) == hash(wider)
+    assert form != forms.BinaryForm([1, x])
+    assert form.__eq__([1, x, Fraction(1, 2)]) is NotImplemented
+    quintic = [1, 2, 0, -1, 3, 1]
+    chain = invariants.quintic_covariants(forms.BinaryForm(quintic))
+    assert hash(chain) == hash(
+        invariants.quintic_covariants(forms.BinaryForm(quintic)))
+    # the terms are kept in items() order, so insertion order is not hashed
+    jkl = beauville.JKLPolynomial({(0, 0, 6): 1, (2, 0, 0): Fraction(1, 2)})
+    same = beauville.JKLPolynomial({(2, 0, 0): Fraction(2, 4), (0, 0, 6): 1})
+    assert jkl == same and hash(jkl) == hash(same)
+    assert list(jkl.terms) == [(2, 0, 0), (0, 0, 6)]
+    _, trace = beauville.beauville_pipeline(
+        forms.BinaryForm([1, 0, 0, 0, 0, 1]))
+    assert repr(trace).startswith("TschirnhausTrace(q_coeffs=(Fraction(1, 1),")
+    assert ", r_bar=MPoly(" in repr(trace)
+
+
+@pytest.mark.parametrize("other", [None, 1.5, True, "x"],
+                         ids=["None", "float", "bool", "str"])
+@pytest.mark.parametrize("value", [
+    mpoly.MPoly.variable("x"), beauville.JKLPolynomial({(0, 0, 1): 1})],
+    ids=["MPoly", "JKLPolynomial"])
+def test_foreign_operands(value, other):
+    # neither type takes a foreign operand: arithmetic raises TypeError
+    # and == is False, both sides
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(value, other)
+        with pytest.raises(TypeError):
+            op(other, value)
+    assert value.__eq__(other) is NotImplemented
+    assert (value == other) is False and (other == value) is False
+    assert mpoly._coerce(other) is NotImplemented
 
 
 def test_imports_need_only_the_standard_library():
