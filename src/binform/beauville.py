@@ -82,7 +82,7 @@ class JKLPolynomial(_Record):
 
     Keys are exponent triples (a1, a2, a3) for the monomial
     L**a1 * K**a2 * J**a3; values are exact rationals.  The terms are
-    stored in ``items()`` order, so that the record's hash is canonical.
+    stored with their triples descending, the order the repr lists them in.
     """
 
     __slots__ = ("terms",)
@@ -101,10 +101,6 @@ class JKLPolynomial(_Record):
         """12*a1 + 8*a2 + 4*a3 when every term shares it, else None."""
         degrees = {_triple_degree(t) for t in self.terms}
         return degrees.pop() if len(degrees) == 1 else None
-
-    def items(self):
-        """Triples and coefficients, L-exponent then K-exponent descending."""
-        return list(self.terms.items())
 
     def __add__(self, other):
         if not isinstance(other, JKLPolynomial):
@@ -142,7 +138,7 @@ class JKLPolynomial(_Record):
         if not self.terms:
             return "JKLPolynomial(0)"
         bits = []
-        for (a1, a2, a3), c in self.items():
+        for (a1, a2, a3), c in self.terms.items():
             monos = "".join(f"*{s}^{e}" for s, e in
                             (("L", a1), ("K", a2), ("J", a3)) if e)
             bits.append(f"{c}{monos}")
@@ -229,15 +225,6 @@ class BeauvilleVector(_Record):
         if len(entries) != 6:
             raise ValueError("a Beauville vector has six entries")
         self.b = tuple(_as_exact(e) for e in entries)
-
-    def __iter__(self):
-        return iter(self.b)
-
-    def __getitem__(self, index):
-        return self.b[index]
-
-    def __len__(self):
-        return 6
 
     def to_json_list(self):
         out = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -256,19 +257,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a value, not a flag: a token that holds a comma, as only coefficient
+# lists do, or is "-" or starts with "-" and a digit or ".", as no option
+_VALUE = re.compile(r"[^,]*,|-([\d.]|$)")
+
+
 def _reorder_argv(argv):
-    """Move the coefficient lists, the tokens that hold a comma, behind a
-    '--' fence (or behind the user's), so that argparse does not read a
-    list such as "-2,-15,..." as a flag.  Every other token stays in place:
-    argparse reads "--seed -3" or "dim -4" itself, since no registered
-    option looks like a negative number.
-    """
+    """Hand argparse each value as a value: one after "--seed", or a prefix,
+    is joined to it; when a positional is a value or '--' was typed, the
+    options and command go first, then '--' and the other positionals."""
     head = argv[:argv.index("--")] if "--" in argv else argv
-    data = [token for token in head if "," in token]
     rest = argv[len(head) + 1:]
-    if not data:    # argparse refuses a fence that nothing follows
-        return argv if rest else head
-    return [token for token in head if "," not in token] + ["--"] + data + rest
+    joined, front, data = [], [], []
+    for token in head:
+        positional = not token.startswith("-") or _VALUE.match(token)
+        if positional and joined and joined[-1].startswith("--s") \
+                and "--seed".startswith(joined[-1]):
+            # the option is the last token of both lists
+            joined[-1] = front[-1] = joined[-1] + "=" + token
+            continue
+        joined.append(token)
+        if positional and ("," in token or any(
+                not t.startswith("-") for t in front)):
+            data.append(token)
+        else:
+            front.append(token)     # an option, or the command
+    if rest or any(map(_VALUE.match, data)):
+        return front + ["--"] + data + rest
+    return joined
 
 
 def main(argv=None) -> int:

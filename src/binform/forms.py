@@ -44,10 +44,6 @@ class GroupElement(_Record):
     def det(self) -> Fraction:
         return self.a * self.d - self.b * self.c
 
-    @classmethod
-    def identity(cls) -> "GroupElement":
-        return cls(1, 0, 0, 1)
-
     def inverse(self) -> "GroupElement":
         dt = self.det
         return GroupElement(self.d / dt, -self.b / dt, -self.c / dt, self.a / dt)
@@ -111,7 +107,7 @@ class BinaryForm(_Record):
                 raise ValueError(f"to_mpoly: a coefficient uses {x!r},"
                                  " a variable of the form")
         p = self.order
-        acc = MPoly.zero(("x1", "x2"))
+        acc = MPoly(("x1", "x2"), {})
         for i, c in enumerate(self.coeffs):
             acc = acc + c * MPoly(("x1", "x2"), {(p - i, i): 1})
         return acc

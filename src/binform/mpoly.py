@@ -129,7 +129,7 @@ def _monomials(exponents, bases, one=1, mul=operator.mul) -> list:
     (Knuth, TAOCP Vol. 2, 4.6.3).  So each distinct exponent costs one
     product, and a lone e about log2 e.  A result may be a base or a made
     power itself: callers only read it."""
-    powers = [{0: one, 1: base} for base in bases]  # e -> bases[s] ** e
+    powers = [{1: base} for base in bases]  # e -> bases[s] ** e, e >= 1
     out = []
     for exps in exponents:
         monomial = None
@@ -256,15 +256,6 @@ class MPoly:
         return object.__new__(cls)._set(vs, terms, den)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, variables: Sequence[str] = ()) -> "MPoly":
-        return cls(variables, {})
-
-    @classmethod
-    def constant(cls, value: Scalar, variables: Sequence[str] = ()) -> "MPoly":
-        vs = cls(variables, {})._vars     # checks the universe
-        return cls(vs, {(0,) * len(vs): value})
 
     @classmethod
     def variable(cls, name: str) -> "MPoly":
@@ -421,6 +412,14 @@ class MPoly:
         _, f, g = self._aligned(other)
         return self._den == other._den and f == g
 
+    def __hash__(self):
+        # as __eq__ compares: over the variables in use, a constant as such
+        vs = tuple(v for v in self._vars if self.degree(v) > 0)
+        if not vs:
+            return hash(Fraction(self._terms.get(0, 0), self._den))
+        return hash((vs, self._den, frozenset(
+            _remap_terms(self._terms, self._vars, vs).items())))
+
     # -- calculus and substitution ----------------------------------------
 
     def diff(self, var: str) -> "MPoly":
@@ -451,7 +450,7 @@ class MPoly:
         covers every term, cancelled or not.  When an image mentions a
         bound variable, the bound variables are first renamed apart.
         """
-        bound = {v: b if isinstance(b, MPoly) else MPoly.constant(b)
+        bound = {v: b if isinstance(b, MPoly) else MPoly((), {(): b})
                  for v, b in bindings.items() if v in self._vars}
         if not bound or not self._terms:
             return self
@@ -526,9 +525,8 @@ def _apart(names, used) -> str:
 class _Record:
     """An exact-value record over the fields named by its ``__slots__``:
     equal to another record of the same type with equal fields, hashed on
-    the type name and each field's text (an MPoly field is not hashable;
-    a dict field's text follows its order, which its class keeps
-    canonical), and shown with its fields named."""
+    the type name and the fields' values (a dict field by its items), and
+    shown with its fields named."""
 
     __slots__ = ()
 
@@ -541,7 +539,9 @@ class _Record:
         return self._fields() == other._fields()
 
     def __hash__(self):
-        return hash((type(self).__name__, *map(str, self._fields())))
+        return hash((type(self).__name__, *(
+            frozenset(f.items()) if isinstance(f, dict) else f
+            for f in self._fields())))
 
     def __repr__(self):
         parts = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)

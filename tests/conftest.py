@@ -4,12 +4,17 @@ The two expensive artifacts — the symbolic pipeline vector and the CLI
 keyprop verification — are computed once per session and shared; everything
 else is cheap.  Acceptance tests record one line per criterion through the
 ``criterion`` context manager, and the terminal summary prints them as a
-PASS/FAIL table.
+PASS/FAIL table.  A test, or the collection of a test module, that runs
+past ``TEST_SECONDS`` ends the run with the traceback of every thread, so a
+hang fails instead of holding CI.
 """
 
 import contextlib
+import faulthandler
 import io
 import json
+import os
+import sys
 import time
 
 from fractions import Fraction
@@ -20,6 +25,39 @@ from binform import beauville_pipeline, generic_form
 from binform.cli import main as cli_main
 
 ACCEPTANCE_LOG = []
+
+# the slowest test takes about 2 s, and a hang takes forever
+TEST_SECONDS = 120
+
+
+def pytest_configure(config):
+    # a copy of stderr made before any test's output is captured, for the
+    # traceback of a test past its time
+    global _STDERR
+    _STDERR = os.dup(sys.stderr.fileno())
+
+
+@contextlib.contextmanager
+def _time_bound():
+    faulthandler.dump_traceback_later(TEST_SECONDS, exit=True, file=_STDERR)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    with _time_bound():
+        return (yield)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_make_collect_report(collector):
+    # collecting a test module runs its module and class bodies
+    with _time_bound():
+        return (yield)
+
 
 _CRITERIA = {
     1: "verify keyprop reproduces all six closed-form tables exactly",

@@ -32,7 +32,7 @@ from binform.invariants import (
 
 def random_det1(rng):
     """A random determinant-one matrix as a product of integer shears."""
-    g = GroupElement.identity()
+    g = GroupElement(1, 0, 0, 1)
     for _ in range(rng.randrange(2, 5)):
         entry = rng.randrange(-3, 4)
         if rng.randrange(2):

@@ -143,7 +143,7 @@ class TestJKLPolynomial:
 
     def test_items_ordering(self):
         p = JKLPolynomial({(0, 0, 6): 1, (2, 0, 0): 1, (0, 3, 0): 1})
-        assert [k for k, _ in p.items()] == [(2, 0, 0), (0, 3, 0), (0, 0, 6)]
+        assert list(p.terms) == [(2, 0, 0), (0, 3, 0), (0, 0, 6)]
 
     def test_evaluate_numeric(self):
         p = JKLPolynomial({(1, 1, 1): 2, (0, 0, 2): -1})
@@ -520,6 +520,20 @@ def test_traces_of_one_quintic_are_equal_records(height):
     assert trace != changed
 
 
+def test_hashing_a_trace_formats_no_polynomial(symbolic_vector,
+                                               monkeypatch):
+    # a record hashes its fields' values, not their text: the generic
+    # quintic's trace, r_bar of 14859 terms included, prints nothing
+    _, trace = symbolic_vector
+
+    def refuse(f):
+        raise AssertionError("format_poly called")
+
+    monkeypatch.setattr(mpoly, "format_poly", refuse)
+    copy = beauville.TschirnhausTrace(*trace._fields())
+    assert copy is not trace and hash(copy) == hash(trace)
+
+
 @pytest.mark.parametrize("height", ["small", "int20", "rat64"])
 def test_pipeline_trace_equals_the_public_stage_route(height):
     # the pipeline runs its stages on int term dicts; its trace is what
@@ -779,7 +793,7 @@ class TestDecomposeInJKL:
         assert decomposition == expected
 
     def test_zero_has_no_degree(self):
-        decomposition = decompose_in_JKL(MPoly.zero(), 24)
+        decomposition = decompose_in_JKL(MPoly((), {}), 24)
         assert not decomposition.terms and decomposition.degree is None
 
     def test_non_invariant_rejected(self):
@@ -1114,13 +1128,6 @@ class TestSameJData:
 
 
 class TestBeauvilleVector:
-    def test_container_protocol(self):
-        vector = BeauvilleVector([1, 2, 3, 4, 5, 6])
-        assert len(vector) == 6
-        assert vector[0] == 1
-        assert list(vector) == [1, 2, 3, 4, 5, 6]
-        assert vector == BeauvilleVector([Fraction(x) for x in range(1, 7)])
-
     def test_json_list(self):
         vector = BeauvilleVector([Fraction(1, 3), 0, 0, 0, 0, 1])
         assert vector.to_json_list() == ["1/3", "0", "0", "0", "0", "1"]
@@ -1130,7 +1137,7 @@ class TestBeauvilleVector:
         first = BeauvilleVector([a0, Fraction(2, 4), 0, 0, 0, 1])
         second = BeauvilleVector([a0.in_universe(("a0", "a1")),
                                   Fraction(1, 2), Fraction(0),
-                                  MPoly.zero(("a1",)), 0, MPoly.constant(1)])
+                                  MPoly(("a1",), {}), 0, MPoly((), {(): 1})])
         assert first == second
         assert hash(first) == hash(second)
 

@@ -379,6 +379,8 @@ HOSTILE = [
      "second quintic: coefficient a1 has more than 4300 digits"),
     (["jdata", "1,2,1,0,0,0", FIFTH_POWERS],
      "first quintic: repeated roots; j-data undefined"),
+    # a lone rational that argparse would read as an unknown flag
+    (["invariants", "-1/2"], "quintic: expected six"),
 ]
 
 
@@ -389,6 +391,31 @@ def test_hostile_inputs_name_the_argument(argv, start):
     code, out, err = run_cli(argv)
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and err.startswith(f"error: {start}")
+
+
+@pytest.mark.parametrize("typed", [
+    ["--seed", "-1_0"], ["--seed=-1_0"], ["--seed", "-10"], ["--se", "-1_0"]],
+    ids=["underscore", "joined", "plain", "prefix"])
+def test_every_spelling_of_a_negative_seed_reaches_verify_disc(typed,
+                                                               monkeypatch):
+    # int() reads "-1_0" as -10, so argparse must take it as the value
+    seeds = []
+
+    def spy(seed):
+        seeds.append(seed)
+        return {"holds": True}
+
+    monkeypatch.setattr("binform.cli.verify_disc", spy)
+    code, out, err = run_cli(["verify", "disc", *typed])
+    assert (code, json.loads(out), err) == (0, {"holds": True}, "")
+    assert seeds == [-10]
+
+
+def test_a_value_behind_the_fence_keeps_the_order_typed():
+    # "-0" sends the positionals behind a "--", still as a1, a2, a3;
+    # moving "-0" alone would read a1 = 6, of degree 72, which is refused
+    assert run_cli(["decompose48", "-0", "6", "0"]) \
+        == run_cli(["decompose48", "0", "6", "0"]) == (0, "(0,6,0)\n", "")
 
 
 SEEDS = st.integers(-50, 50).map(str)

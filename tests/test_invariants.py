@@ -58,7 +58,7 @@ CANONICAL_POINTS = {
 
 
 def random_det1(rng, factors=3, bound=4):
-    g = GroupElement.identity()
+    g = GroupElement(1, 0, 0, 1)
     for i in range(factors):
         r = rng.randrange(-bound, bound + 1)
         shear = GroupElement(1, r, 0, 1) if i % 2 else GroupElement(1, 0, r, 1)
@@ -167,6 +167,46 @@ class TestQuarticRoutesAgree:
         assert quartic_S(q).total_degree() == 50000
         with pytest.raises(OverflowError, match="total degree 75000"):
             quartic_T(q)
+
+    # the degrees e0..e4 of the coefficients x**e_i at which one term of S's
+    # guard alone reaches 65536, and the same term one step down, with the
+    # degree of S there
+    S_GUARD = {
+        "e0+e4": ((32768, 0, 0, 0, 32768), (32767, 0, 0, 0, 32768), 65535),
+        "e1+e3": ((0, 32768, 0, 32768, 0), (0, 32768, 0, 32767, 0), 65535),
+        "2*e2": ((0, 0, 32768, 0, 0), (0, 0, 32767, 0, 0), 65534),
+    }
+
+    @pytest.mark.parametrize("over, under, degree", S_GUARD.values(),
+                             ids=S_GUARD)
+    def test_each_term_of_the_S_guard_decides_it(self, over, under, degree):
+        x = MPoly.variable("x")
+        with pytest.raises(OverflowError, match="^total degree 65536 "):
+            quartic_S(BinaryForm([x ** e for e in over]))
+        assert quartic_S(BinaryForm([x ** e for e in under])).total_degree() \
+            == degree
+
+    # the degrees e0..e4 of the coefficients x**e_i at which one term of T's
+    # guard alone passes 65535, and the same term at 65535 one step down
+    T_GUARD = {
+        "e0+e2+e4": ((32768, 0, 1, 0, 32767), (32767, 0, 1, 0, 32767)),
+        "e1+e2+e3": ((0, 32767, 2, 32767, 0), (0, 32766, 2, 32767, 0)),
+        "3*e2": ((0, 0, 21846, 0, 0), (0, 0, 21845, 0, 0)),
+        "e0+2*e3": ((2, 0, 0, 32767, 0), (1, 0, 0, 32767, 0)),
+        "2*e1+e4": ((0, 32767, 0, 0, 2), (0, 32767, 0, 0, 1)),
+    }
+
+    @pytest.mark.parametrize("over, under", T_GUARD.values(), ids=T_GUARD)
+    def test_each_term_of_the_T_guard_decides_it(self, over, under):
+        # S's guard stays below the limit in both, so S is made
+        x = MPoly.variable("x")
+        q = BinaryForm([x ** e for e in over])
+        quartic_S(q)
+        # 3 * e2 passes 65535 at 65538, each other term at 65536
+        with pytest.raises(OverflowError, match="^total degree 6553[68] "):
+            quartic_T(q)
+        assert quartic_T(BinaryForm([x ** e for e in under])).total_degree() \
+            == 65535
 
 
 class TestJInvariant:
@@ -303,7 +343,7 @@ class TestQuinticInvariants:
     def test_equal_vectors_hash_equal(self):
         x = MPoly.variable("x")
         first = InvariantVector(Fraction(2, 4), 3, x, 0)
-        second = InvariantVector(Fraction(1, 2), MPoly.constant(3),
+        second = InvariantVector(Fraction(1, 2), MPoly((), {(): 3}),
                                  x.in_universe(("x", "y")), Fraction(0))
         assert first == second
         assert hash(first) == hash(second)
