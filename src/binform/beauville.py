@@ -72,8 +72,9 @@ def _int_triple(triple) -> tuple:
     TypeError instead of being truncated, and a negative int ValueError."""
     a1, a2, a3 = triple
     key = _int_exponent(a1), _int_exponent(a2), _int_exponent(a3)
-    if min(key) < 0:
-        raise ValueError("exponents must be nonnegative")
+    for name, e in zip(("a1", "a2", "a3"), key):
+        if e < 0:
+            raise ValueError(f"exponent {name} must be nonnegative, got {e}")
     return key
 
 
@@ -671,7 +672,8 @@ def _thm48_degree(alpha) -> int:
     any triple but three nonnegative ints of degree 48k raises."""
     degree = _triple_degree(_int_triple(alpha))
     if degree % 48:
-        raise ValueError("degree not divisible by 48")
+        raise ValueError(f"degree 12*a1 + 8*a2 + 4*a3 = {degree}"
+                         " is not divisible by 48")
     return degree
 
 

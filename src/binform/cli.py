@@ -262,35 +262,15 @@ def build_parser() -> argparse.ArgumentParser:
 _VALUE = re.compile(r"[^,]*,|-([\d.]|$)")
 
 
-def _reorder_argv(argv):
-    """Hand argparse each value as a value: one after "--seed", or a prefix,
-    is joined to it; when a positional is a value or '--' was typed, the
-    options and command go first, then '--' and the other positionals."""
-    head = argv[:argv.index("--")] if "--" in argv else argv
-    rest = argv[len(head) + 1:]
-    joined, front, data = [], [], []
-    for token in head:
-        positional = not token.startswith("-") or _VALUE.match(token)
-        if positional and joined and joined[-1].startswith("--s") \
-                and "--seed".startswith(joined[-1]):
-            # the option is the last token of both lists
-            joined[-1] = front[-1] = joined[-1] + "=" + token
-            continue
-        joined.append(token)
-        if positional and ("," in token or any(
-                not t.startswith("-") for t in front)):
-            data.append(token)
-        else:
-            front.append(token)     # an option, or the command
-    if rest or any(map(_VALUE.match, data)):
-        return front + ["--"] + data + rest
-    return joined
-
-
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _reorder_argv(list(argv))
+    argv = list(sys.argv[1:] if argv is None else argv)
+    fence = argv.index("--") if "--" in argv else len(argv)
+    # argparse reads a token as an option only when it starts with "-", so
+    # a space in front of a value, or of any token typed after "--", hands
+    # it over as a value; int() and _parse_quintic ignore the space
+    argv = [" " + token if token.startswith("-")
+            and (i > fence or _VALUE.match(token)) else token
+            for i, token in enumerate(argv) if i != fence]
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

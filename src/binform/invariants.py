@@ -305,7 +305,8 @@ def verify_relation(vector: InvariantVector) -> bool:
 
 def _check_graded_degree(d: int) -> None:
     if not isinstance(d, int) or d <= 0 or d % 4:
-        raise ValueError("degree must be a positive multiple of 4")
+        raise ValueError(
+            f"degree must be a positive multiple of 4, got {d!r}")
 
 
 def graded_dimension(d: int) -> int:

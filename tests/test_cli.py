@@ -381,6 +381,15 @@ HOSTILE = [
      "first quintic: repeated roots; j-data undefined"),
     # a lone rational that argparse would read as an unknown flag
     (["invariants", "-1/2"], "quintic: expected six"),
+    # the degree and exponent refusals name the argument and its value,
+    # a value typed after "--" included
+    (["dim", "-4"], "degree must be a positive multiple of 4, got -4"),
+    (["dim", "--", "-4"], "degree must be a positive multiple of 4, got -4"),
+    (["basis", "5"], "degree must be a positive multiple of 4, got 5"),
+    (["decompose48", "-1", "2", "3"],
+     "exponent a1 must be nonnegative, got -1"),
+    (["decompose48", "1", "1", "1"],
+     "degree 12*a1 + 8*a2 + 4*a3 = 24 is not divisible by 48"),
 ]
 
 
@@ -412,8 +421,8 @@ def test_every_spelling_of_a_negative_seed_reaches_verify_disc(typed,
 
 
 def test_a_value_behind_the_fence_keeps_the_order_typed():
-    # "-0" sends the positionals behind a "--", still as a1, a2, a3;
-    # moving "-0" alone would read a1 = 6, of degree 72, which is refused
+    # "-0" is a value and stays a1, in the order typed; moving it
+    # alone would read a1 = 6, of degree 72, which is refused
     assert run_cli(["decompose48", "-0", "6", "0"]) \
         == run_cli(["decompose48", "0", "6", "0"]) == (0, "(0,6,0)\n", "")
 
@@ -514,6 +523,13 @@ class TestDeterminismAndEnvironment:
     def test_no_subcommand_is_usage_error(self):
         code, _, err = run_cli([])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["-h"], ["dim", "--help"],
+                                      ["verify", "disc", "-h"]])
+    def test_help_exits_0(self, argv):
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: binform")
 
     def test_internal_failure_exits_2_without_a_traceback(self, monkeypatch):
         def fail(form):

@@ -29,6 +29,8 @@ CASES = {
     "invariants": (["invariants", FORM], 0),
     "invariants_rational": (["invariants", "1/2,0,-2/3,1,0,5"], 0),
     "invariants_zero_form": (["invariants", "0,0,0,0,0,0"], 2),
+    # a typed "--" hands the tokens after it over as values
+    "invariants_fenced": (["invariants", "--", "-1,0,0,0,0,1"], 0),
     "beauville_closed_form": (["beauville", FORM], 0),
     "beauville_pipeline": (["beauville", FORM, "--pipeline"], 0),
     "beauville_a0_zero_closed_form": (["beauville", FORM_A0_ZERO], 0),
@@ -43,6 +45,7 @@ CASES = {
     "decompose48_json": (["decompose48", "5", "7", "19", "--json"], 0),
     "verify_relation": (["verify", "relation"], 0),
     "verify_disc": (["verify", "disc"], 0),
+    "verify_disc_seed_fenced": (["verify", "--seed", "3", "--", "disc"], 0),
     "verify_prop48": (["verify", "prop48"], 0),
     "verify_dims": (["verify", "dims"], 0),
     "verify_keyprop": (["verify", "keyprop"], 0),
