@@ -32,10 +32,10 @@ from .invariants import (
     SylvesterPoint,
 )
 from .mpoly import (_BITS, _MASK, MPoly, _Record, _addmul, _apart,
-                    _as_exact, _as_fraction, _check_degree, _cleared,
-                    _coefficient_terms, _divrem, _int_exponent, _int_terms,
-                    _max_degree, _mentions, _monomials, _product,
-                    _rehomogenize, _remap_terms, _unit, _universe)
+                    _as_exact, _as_fraction, _cleared, _coefficient_terms,
+                    _divrem, _int_exponent, _int_terms, _mentions,
+                    _monomials, _product, _rehomogenize, _remap_terms,
+                    _shown, _unit, _universe)
 
 __all__ = [
     "JKLPolynomial",
@@ -74,7 +74,8 @@ def _int_triple(triple) -> tuple:
     key = _int_exponent(a1), _int_exponent(a2), _int_exponent(a3)
     for name, e in zip(("a1", "a2", "a3"), key):
         if e < 0:
-            raise ValueError(f"exponent {name} must be nonnegative, got {e}")
+            raise ValueError(
+                f"exponent {name} must be nonnegative, got {_shown(e)}")
     return key
 
 
@@ -300,11 +301,9 @@ def build_phi(quartic: BinaryForm) -> MPoly:
     (vs, d), s, t = _scaled_quartic(quartic)
     universe = tuple(sorted({*vs, "z"} if (set(s) | set(t)) - {0} else {"z"}))
     s, t = (_remap_terms(x, vs, universe) for x in (s, t))
-    _check_degree(max(3 * _max_degree((s,), universe),
-                      2 * _max_degree((t,), universe)) + 1)
-    s3 = _addmul({}, s, _addmul({}, s, s), 4)
+    s3 = _addmul({}, s, _addmul({}, s, s, 1, universe), 4, universe)
     phi = _addmul({k: -c for k, c in s3.items()}, {_unit(universe, "z"): 1},
-                  _addmul(dict(s3), t, t, -1))
+                  _addmul(dict(s3), t, t, -1, universe), 1, universe)
     return MPoly._make(universe, phi, 6912 * d ** 6)
 
 
@@ -321,7 +320,7 @@ def _core_pipeline(tail) -> TschirnhausTrace:
     n, d = _int_terms(tail, vs)
     b = [{0: d}]    # d times the quartic's plain coefficients, then d f(lam)
     for ni in n:
-        b.append(_addmul(dict(ni), {_unit(vs, "lam"): 1}, b[-1]))
+        b.append(_addmul(dict(ni), {_unit(vs, "lam"): 1}, b[-1], 1, vs))
 
     def coefficient(i):     # b[i] / d over lam and the symbols of a1..ai
         u = tuple(sorted({"lam", *_universe(tail[:i])}))
@@ -672,7 +671,7 @@ def _thm48_degree(alpha) -> int:
     any triple but three nonnegative ints of degree 48k raises."""
     degree = _triple_degree(_int_triple(alpha))
     if degree % 48:
-        raise ValueError(f"degree 12*a1 + 8*a2 + 4*a3 = {degree}"
+        raise ValueError(f"degree 12*a1 + 8*a2 + 4*a3 = {_shown(degree)}"
                          " is not divisible by 48")
     return degree
 

@@ -257,9 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# a value, not a flag: a token that holds a comma, as only coefficient
-# lists do, or is "-" or starts with "-" and a digit or ".", as no option
-_VALUE = re.compile(r"[^,]*,|-([\d.]|$)")
+# a value, not a flag: a token not starting "--" that holds a comma, as only
+# coefficient lists do, or "-" alone or before a digit or ".", as no option
+_VALUE = re.compile(r"(?!--)([^,]*,|-([\d.]|$))")
 
 
 def main(argv=None) -> int:

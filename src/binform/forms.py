@@ -16,9 +16,9 @@ from math import comb, factorial, perm
 from typing import Sequence
 
 from .mpoly import (MPoly, Scalar, _Record, _addmul, _as_exact,
-                    _as_fraction, _check_degree, _cleared, _int_exponent,
-                    _int_terms, _max_degree, _mentions, _monomials, _product,
-                    _universe, det_fraction_free)
+                    _as_fraction, _cleared, _int_exponent, _int_terms,
+                    _mentions, _monomials, _product, _shown, _universe,
+                    det_fraction_free)
 
 __all__ = [
     "BinaryForm", "GroupElement",
@@ -68,8 +68,8 @@ def weight_of(degree: int, source_order: int, order: int) -> int:
           - _int_exponent(order, "order"))
     if w2 < 0 or w2 % 2:
         raise ValueError(
-            f"no covariant of degree {degree}, order {order} on a form of "
-            f"order {source_order}")
+            f"no covariant of degree {_shown(degree)}, order {_shown(order)}"
+            f" on a form of order {_shown(source_order)}")
     return w2 // 2
 
 
@@ -224,7 +224,8 @@ def _transvectant_sum(a: Sequence, b: Sequence, k: int) -> tuple:
     int coefficients the sum runs on ints."""
     p, q = len(a) - 1, len(b) - 1
     if k < 0 or k > p or k > q:
-        raise ValueError(f"transvectant index {k} out of range for orders {p},{q}")
+        raise ValueError(f"transvectant index {_shown(k)} out of range for"
+                         f" orders {p},{q}")
     weights, den = _transvectant_weights(p, q, k)
     out = [0] * (p + q - 2 * k + 1)
     for i, l, weight in weights:
@@ -318,7 +319,6 @@ def _bezout_resultant(a: list, da: int, b: list, db: int, vs: tuple) -> MPoly:
     with coefficients the int term dicts a / da and b / db over vs: the
     Bezout determinant of da f and db g, da^q db^p Res, divided once."""
     p, q = len(a) - 1, len(b) - 1
-    _check_degree(_max_degree(a, vs) + _max_degree(b, vs))
     bezout = []
     row = [{}] * p
     for k in range(q):
@@ -326,8 +326,8 @@ def _bezout_resultant(a: list, da: int, b: list, db: int, vs: tuple) -> MPoly:
         for c in range(p):
             entry = dict(row[c + 1]) if c + 1 < p else {}
             if c < q:
-                _addmul(entry, a[k], b[c + 1])
-            nxt.append(_addmul(entry, b[k], a[c + 1], -1))
+                _addmul(entry, a[k], b[c + 1], 1, vs)
+            nxt.append(_addmul(entry, b[k], a[c + 1], -1, vs))
         row = nxt
         bezout.append(row)
     rows = [[MPoly._make(vs, e) for e in row] for row in reversed(bezout)]

@@ -23,8 +23,8 @@ from typing import Iterator, NamedTuple
 
 from .forms import (BinaryForm, _over, _require_forms, _transvectant_sum,
                     discriminant, transvectant)
-from .mpoly import (MPoly, _Record, _addmul, _as_exact, _check_degree,
-                    _cleared, _int_terms, _max_degree, _universe)
+from .mpoly import (MPoly, _Record, _addmul, _as_exact, _cleared,
+                    _int_terms, _shown, _universe)
 
 __all__ = [
     "QuarticInvariants",
@@ -116,23 +116,20 @@ def _scaled_quartic(quartic: BinaryForm) -> Iterator:
     On the plain coefficients c_i = n_i / d, 12 S = 12 c0 c4 - 3 c1 c3
     + c2**2 and 432 T = c2 (72 c0 c4 + 9 c1 c3 - 2 c2**2)
     - 27 (c0 c3**2 + c1**2 c4), so the same sums of the int term dicts n_i
-    give s and t.  Each product's degree is checked as ``MPoly.__mul__``
-    checks it.
+    give s and t, each product's degree checked by the kernel.
     """
     vs = _universe(quartic.coeffs)
     n, d = _int_terms(quartic.coeffs, vs)
     yield vs, d
     n0, n1, n2, n3, n4 = n
-    e0, e1, e2, e3, e4 = (_max_degree((c,), vs) for c in n)
-    _check_degree(max(e0 + e4, e1 + e3, 2 * e2))
-    s = _addmul(_addmul(_addmul({}, n0, n4, 12), n1, n3, -3), n2, n2)
+    s = _addmul(_addmul(_addmul({}, n0, n4, 12, vs), n1, n3, -3, vs),
+                n2, n2, 1, vs)
     yield {k: c for k, c in s.items() if c}
-    _check_degree(max(e0 + e2 + e4, e1 + e2 + e3, 3 * e2, e0 + 2 * e3,
-                      2 * e1 + e4))
-    inner = _addmul(_addmul(_addmul({}, n0, n4, 72), n1, n3, 9), n2, n2, -2)
-    t = _addmul({}, n2, inner)
-    _addmul(t, n0, _addmul({}, n3, n3), -27)
-    _addmul(t, n4, _addmul({}, n1, n1), -27)
+    inner = _addmul(_addmul(_addmul({}, n0, n4, 72, vs), n1, n3, 9, vs),
+                    n2, n2, -2, vs)
+    t = _addmul({}, n2, inner, 1, vs)
+    _addmul(t, n0, _addmul({}, n3, n3, 1, vs), -27, vs)
+    _addmul(t, n4, _addmul({}, n1, n1, 1, vs), -27, vs)
     yield {k: c for k, c in t.items() if c}
 
 
@@ -306,7 +303,7 @@ def verify_relation(vector: InvariantVector) -> bool:
 def _check_graded_degree(d: int) -> None:
     if not isinstance(d, int) or d <= 0 or d % 4:
         raise ValueError(
-            f"degree must be a positive multiple of 4, got {d!r}")
+            f"degree must be a positive multiple of 4, got {_shown(d)}")
 
 
 def graded_dimension(d: int) -> int:

@@ -35,31 +35,46 @@ _BITS = 16
 _MASK = (1 << _BITS) - 1
 
 
+def _shown(x) -> str:
+    """repr(x), or an int or Fraction too long to print as its size."""
+    try:
+        return repr(x)
+    except ValueError:
+        bits = max(abs(x.numerator), x.denominator).bit_length()
+        return f"a {'negative ' * (x < 0)}{bits}-bit {type(x).__name__}"
+
+
 def _check_degree(degree: int) -> None:
     # every exponent is at most the total degree, so this keeps each one
     # inside its field
     if degree > _MASK:
-        raise OverflowError(
-            f"total degree {degree} exceeds the supported maximum {_MASK}")
+        raise OverflowError(f"total degree {_shown(degree)} exceeds the"
+                            f" supported maximum {_MASK}")
 
 
 def _int_exponent(e, what: str = "exponent") -> int:
     """An exponent, or another int argument named by ``what``, as an int;
     anything else, a bool or a float included, raises TypeError."""
     if isinstance(e, bool) or not isinstance(e, int):
-        raise TypeError(f"{what} {e!r} is not an int")
+        raise TypeError(f"{what} {_shown(e)} is not an int")
     return e
 
 
-def _addmul(acc: dict, f: dict, g: dict, sign: int = 1) -> dict:
+def _addmul(acc: dict, f: dict, g: dict, sign=1, vs=()) -> dict:
     """Add sign * f * g into the raw term dict acc in place and return acc;
     sign is any int, such as -1 or a weight of a sum of products.  The
     values may be any ring elements (``BinaryForm.__mul__`` passes
-    Fractions and MPolys); every hot caller passes ints.
+    Fractions and MPolys); every hot caller passes ints.  A product past
+    the degree field of vs, the universe packing the keys, raises before
+    any term is made: the one overflow rule.  Unpacked keys pass vs = ().
 
     The smaller operand is looped over on the outside.  Zero coefficients
     stay in acc for the caller to prune.
     """
+    if vs and f and g:
+        dsh = len(vs) * _BITS
+        if (max(f) >> dsh) + (max(g) >> dsh) > _MASK:
+            _check_degree((max(f) >> dsh) + (max(g) >> dsh))
     if len(f) > len(g):
         f, g = g, f
     get = acc.get
@@ -102,13 +117,6 @@ def _coefficient_terms(terms: dict, vs: tuple, var: str) -> tuple:
     split = _split(terms, _shift(vs, var), len(vs) * _BITS)
     return rest, [_remap_terms(split.get(e, {}), vs, rest)
                   for e in range(max(split, default=-1) + 1)]
-
-
-def _max_degree(entries, vs: tuple) -> int:
-    """The largest total degree of a term of the int term dicts over the
-    universe vs, -1 when they have no term: keys order by degree first."""
-    dsh = len(vs) * _BITS
-    return max((max(e) >> dsh for e in entries if e), default=-1)
 
 
 def _scaled(terms: dict, s: int) -> dict:
@@ -379,10 +387,8 @@ class MPoly:
         if other is NotImplemented:
             return NotImplemented
         vs, f, g = self._aligned(other)
-        if f and g:
-            dsh = len(vs) * _BITS
-            _check_degree((max(f) >> dsh) + (max(g) >> dsh))
-        return MPoly._make(vs, _addmul({}, f, g), self._den * other._den)
+        return MPoly._make(vs, _addmul({}, f, g, 1, vs),
+                           self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -400,8 +406,7 @@ class MPoly:
     def __pow__(self, exponent: int):
         if _int_exponent(exponent) < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        if self._terms:
-            _check_degree(self.total_degree() * exponent)
+        _check_degree(self.total_degree() * exponent)  # -1 when zero
         power, = _monomials([(exponent,)], [self._terms], {0: 1}, _product)
         return MPoly._make(self._vars, power, self._den ** exponent)
 
@@ -729,7 +734,7 @@ def det_fraction_free(rows: Sequence[Sequence]) -> MPoly:
         scale *= m
         grid.append(terms)
     if nv < 2:
-        return MPoly._make(vs, _expand_minors(grid, nv * _BITS), scale)
+        return MPoly._make(vs, _expand_minors(grid, vs), scale)
     columns = list(zip(*grid))
     shifts = [(nv - 1 - s) * _BITS for s in range(nv)]
     bounds = [sum(max(((k >> sh) & _MASK for e in col for k in e), default=0)
@@ -758,7 +763,7 @@ def det_fraction_free(rows: Sequence[Sequence]) -> MPoly:
     grid = [[pack(e) for e in row] for row in grid]
     det = {}
     mask, half = (1 << width) - 1, 1 << (width - 1)
-    for kk, packed in _expand_minors(grid, (nv - 1) * _BITS).items():
+    for kk, packed in _expand_minors(grid, rest).items():
         base = _remap_key(kk, from_rest)
         degree = base >> dsh
         ev = 0
@@ -777,9 +782,9 @@ def det_fraction_free(rows: Sequence[Sequence]) -> MPoly:
     return MPoly._make(vs, det, scale)
 
 
-def _expand_minors(grid: list, dsh: int) -> dict:
-    """The determinant of a square grid of int term dicts, whose keys
-    carry their degree field at ``dsh``, as a term dict."""
+def _expand_minors(grid: list, vs: tuple) -> dict:
+    """The determinant of a square grid of int term dicts over the
+    universe vs, as a term dict."""
     n = len(grid)
     # row bitmask -> minor on those rows and the leading columns
     minors = {0: {0: 1}}
@@ -788,7 +793,6 @@ def _expand_minors(grid: list, dsh: int) -> dict:
         # popping frees each minor as soon as it has been used
         while minors:
             mask, minor = minors.popitem()
-            dm = max(minor) >> dsh
             odd = False  # parity of the minor's rows below row i
             for i in range(n - 1, -1, -1):
                 if mask >> i & 1:
@@ -797,9 +801,8 @@ def _expand_minors(grid: list, dsh: int) -> dict:
                 e = grid[i][j]
                 if not e:
                     continue
-                _check_degree(dm + (max(e) >> dsh))
                 _addmul(nxt.setdefault(mask | 1 << i, {}), e, minor,
-                        -1 if odd else 1)
+                        -1 if odd else 1, vs)
         minors = {}
         while nxt:
             mask, acc = nxt.popitem()

@@ -420,6 +420,15 @@ def test_every_spelling_of_a_negative_seed_reaches_verify_disc(typed,
     assert seeds == [-10]
 
 
+def test_an_option_joined_to_a_comma_list_is_read_as_the_option():
+    # "--seed=1,2" holds a comma but starts with "--": argparse reads it
+    # as --seed and refuses its value
+    code, out, err = run_cli(["verify", "disc", "--seed=1,2"])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(
+        "error: argument --seed: invalid int value: '1,2'")
+
+
 def test_a_value_behind_the_fence_keeps_the_order_typed():
     # "-0" is a value and stays a1, in the order typed; moving it
     # alone would read a1 = 6, of degree 72, which is refused

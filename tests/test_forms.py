@@ -587,6 +587,17 @@ class TestResultantAgainstSylvester:
             resultant(generic_form(p, "a"), generic_form(q, "b"))
         assert sizes == [(5, {5}), (5, {5}), (3, {3}), (6, {6}), (6, {6})]
 
+    def test_every_result_that_fits_is_made(self):
+        # each Bezout product and the result fit, though the degrees of
+        # the two forms' coefficients add up past the limit; the product
+        # of the two high coefficients does not fit, and is refused
+        x, y = MPoly.variable("x"), MPoly.variable("y")
+        f, g = BinaryForm([1, x ** 40000]), BinaryForm([1, y ** 30000])
+        assert resultant(f, g) == y ** 30000 - x ** 40000 \
+            == det_fraction_free(sylvester_matrix(f, g))
+        with pytest.raises(OverflowError, match="^total degree 70000 "):
+            resultant(BinaryForm([x ** 40000, 1]), BinaryForm([1, x ** 30000]))
+
 
 class TestDiscriminant:
     def test_squared_root_differences(self):

@@ -526,6 +526,13 @@ class TestExponentOverflow:
         q, r = monic_divrem(lam ** 2, lam + y ** 30000, "lam")
         assert q * (lam + y ** 30000) + r == lam ** 2
 
+    def test_monic_divrem_checks_each_quotient_term_times_the_divisor(self):
+        # the quotient's first term y**32767 lam times lam + y**32768 has
+        # degree 65536: the first refusal, before any term of degree 98303
+        lam, y = MPoly.variable("lam"), MPoly.variable("y")
+        with pytest.raises(OverflowError, match="^total degree 65536 "):
+            monic_divrem(lam ** 2 * y ** 32767, lam + y ** 32768, "lam")
+
 
 class TestMonicDivision:
     def test_division_invariant(self):

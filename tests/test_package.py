@@ -52,6 +52,51 @@ def test_packed_key_fields_are_read_in_mpoly_alone():
         assert bool(reads) == (module is beauville)
 
 
+def test_the_overflow_rule_is_mpolys_alone():
+    # every product over packed keys is checked by mpoly._addmul, so no
+    # other module bounds a degree itself
+    for module in (forms, invariants, beauville):
+        tree = ast.parse(inspect.getsource(module))
+        names = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)}
+        names |= {alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not names & {"_check_degree", "_max_degree"}, module.__name__
+    assert not hasattr(mpoly, "_max_degree")
+
+
+HUGE = 10 ** 5000   # past Python's default limit of 4300 printed digits
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: mpoly.MPoly.variable("x") ** HUGE, OverflowError,
+     "total degree a 16610-bit int exceeds the supported maximum 65535"),
+    (lambda: invariants.graded_dimension(-HUGE), ValueError,
+     "degree must be a positive multiple of 4, got a negative 16610-bit int"),
+    (lambda: beauville.thm48_decompose((HUGE + 1, 0, 0)), ValueError,
+     "degree 12*a1 + 8*a2 + 4*a3 = a 16614-bit int is not divisible by 48"),
+    (lambda: forms.weight_of(HUGE, 5, 1), ValueError,
+     "no covariant of degree a 16610-bit int, order 1 on a form of order 5"),
+    (lambda: forms.transvectant(forms.BinaryForm([1, 2]),
+                                forms.BinaryForm([1, 2]), HUGE), ValueError,
+     "transvectant index a 16610-bit int out of range for orders 1,1"),
+    (lambda: beauville.JKLPolynomial({(-HUGE, 0, 0): 1}), ValueError,
+     "exponent a1 must be nonnegative, got a negative 16610-bit int"),
+], ids=["pow", "graded_dimension", "thm48_decompose", "weight_of",
+        "transvectant", "JKLPolynomial"])
+def test_refusals_print_any_value(call, error, text):
+    # an int too long to print is shown by its size, so the refusal keeps
+    # its own type and text, which names the argument
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(error) as caught:
+            call()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(caught.value) == text
+
+
 def test_exact_value_records_share_one_rule():
     # equality and hashing come from mpoly._Record alone; BeauvilleVector
     # keeps its own list repr, SylvesterPoint its positional one, and
