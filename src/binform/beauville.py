@@ -228,14 +228,6 @@ class BeauvilleVector(_Record):
             raise ValueError("a Beauville vector has six entries")
         self.b = tuple(_as_exact(e) for e in entries)
 
-    def to_json_list(self):
-        out = []
-        for value in self.b:
-            if isinstance(value, MPoly):
-                raise TypeError("only numeric vectors serialize to JSON")
-            out.append(str(value))
-        return out
-
     def __repr__(self):
         return f"BeauvilleVector({list(self.b)!r})"
 
@@ -475,9 +467,10 @@ def decompose_in_JKL(invariant_poly: MPoly, degree: int) -> JKLPolynomial:
     """
     if not isinstance(invariant_poly, MPoly):
         raise TypeError("expected a polynomial in the coefficients a0..a5")
-    extra = set(invariant_poly.variables) - set(_COEFF_NAMES)
+    extra = [v for v in invariant_poly.variables
+             if v not in _COEFF_NAMES and _mentions((invariant_poly,), v)]
     if extra:
-        raise ValueError(f"unexpected variables: {sorted(extra)}")
+        raise ValueError(f"unexpected variables: {extra}")
     _check_graded_degree(degree)
     if not invariant_poly._is_homogeneous(degree):
         raise ValueError(f"input is not homogeneous of degree {degree}")

@@ -40,8 +40,16 @@ from .invariants import (
     verify_relation,
 )
 
+def _fraction_str(value) -> str:
+    """A Fraction as its decimal string, the JSON form of every exact value;
+    anything else json cannot write, an MPoly included, raises TypeError."""
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} does not serialize to JSON")
+
+
 def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, default=_fraction_str))
 
 
 _MAX_DIGITS = 4300
@@ -79,9 +87,7 @@ def _parse_quintic(text: str, name: str = "quintic") -> BinaryForm:
 
 
 def _cmd_invariants(args) -> int:
-    form = _parse_quintic(args.coeffs)
-    vector = quintic_invariants(form)
-    _emit(vector.to_json_dict())
+    _emit(quintic_invariants(_parse_quintic(args.coeffs)).as_dict())
     return 0
 
 
@@ -96,7 +102,7 @@ def _cmd_beauville(args) -> int:
     if result.b[0] == 0:    # b0 = 2**-40 Disc**3
         print("warning: discriminant is zero (repeated roots); b0 = 0",
               file=sys.stderr)
-    _emit({"route": route, "b": result.to_json_list()})
+    _emit({"route": route, "b": list(result.b)})
     return 0
 
 

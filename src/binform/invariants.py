@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple
 from .forms import (BinaryForm, _over, _require_forms, _transvectant_sum,
                     discriminant, transvectant)
 from .mpoly import (MPoly, _Record, _addmul, _as_exact, _cleared,
-                    _int_terms, _shown, _universe)
+                    _int_exponent, _int_terms, _shown, _universe)
 
 __all__ = [
     "QuarticInvariants",
@@ -246,17 +246,6 @@ class InvariantVector(_Record):
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
 
-    def to_json_dict(self) -> dict:
-        """Exact-rational JSON payload; only numeric vectors serialize."""
-        out = {}
-        for name in self.__slots__:
-            value = getattr(self, name)
-            if isinstance(value, MPoly):
-                raise TypeError(
-                    "only numeric invariant vectors serialize to JSON")
-            out[name] = str(value)
-        return out
-
 
 def quintic_invariants(quintic: BinaryForm) -> InvariantVector:
     """The invariant vector of a quintic, by the transvectant chain.
@@ -301,7 +290,7 @@ def verify_relation(vector: InvariantVector) -> bool:
 # ---------------------------------------------------------------------------
 
 def _check_graded_degree(d: int) -> None:
-    if not isinstance(d, int) or d <= 0 or d % 4:
+    if _int_exponent(d, "degree") <= 0 or d % 4:
         raise ValueError(
             f"degree must be a positive multiple of 4, got {_shown(d)}")
 

@@ -341,11 +341,12 @@ class MPoly:
                 _remap_terms(other._terms, other._vars, union))
 
     def in_universe(self, variables: Sequence[str]) -> "MPoly":
-        """The same polynomial re-expressed over a superset universe."""
+        """The same polynomial re-expressed over a universe holding every
+        variable that its terms use; a name that no term uses may go."""
         vs = MPoly(variables, {})._vars     # checks every name
         if vs == self._vars:
             return self
-        if not set(self._vars) <= set(vs):
+        if any(_mentions((self,), v) for v in set(self._vars) - set(vs)):
             raise ValueError("universe does not contain all variables")
         return MPoly._make(vs, _remap_terms(self._terms, self._vars, vs),
                            self._den)
@@ -442,8 +443,9 @@ class MPoly:
         """Simultaneous substitution of polynomials (or scalars) for variables.
 
         Bindings for variables outside the universe are inert.  Unbound
-        variables pass through unchanged.  Each bound variable v takes one
-        pass: the terms are split by their exponent e in v, as
+        variables pass through unchanged: the result's universe, the zero
+        polynomial's too, is theirs and the images'.  Each bound variable v
+        takes one pass: the terms are split by their exponent e in v, as
         ``coefficients`` splits them.  Every part's degree is checked, then
         each part, in increasing e, is multiplied once by the e-th power of
         v's image from ``_monomials``.
@@ -457,8 +459,11 @@ class MPoly:
         """
         bound = {v: b if isinstance(b, MPoly) else MPoly((), {(): b})
                  for v, b in bindings.items() if v in self._vars}
-        if not bound or not self._terms:
+        if not bound:
             return self
+        if not self._terms:
+            return MPoly(set(self._vars).difference(bound).union(
+                *(b._vars for b in bound.values())), {})
         names = set(self._vars).union(*(b._vars for b in bound.values()))
         if any(v in bound for b in bound.values() for v in b._vars):
             # the bound names are in use, so u is a nonempty run of _

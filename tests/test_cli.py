@@ -15,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import binform
+from binform import cli
 from binform.cli import main as cli_main
 
 from binform.beauville import beauville_closed_form, thm48_decompose
-from binform.forms import BinaryForm, GroupElement, act
+from binform.forms import BinaryForm, GroupElement, act, generic_form
 from binform.invariants import monomial_basis, quintic_invariants
 
 # canonical stable quintics used throughout: the first two are inequivalent,
@@ -78,11 +79,26 @@ class TestInvariantsCmd:
         form = BinaryForm([big + 1, big + 3, 2, 3, 4, 5])
         sys.set_int_max_str_digits(0)
         try:
-            expected = quintic_invariants(form).to_json_dict()
+            expected = {name: str(value) for name, value
+                        in quintic_invariants(form).as_dict().items()}
         finally:
             sys.set_int_max_str_digits(limit)
         assert json.loads(out) == expected
         assert len(expected["H"]) > 5000
+
+    def test_emit_writes_each_fraction_as_its_string(self, capsys):
+        cli._emit({"b": [Fraction(-1, 3), Fraction(2)], "holds": True})
+        assert capsys.readouterr().out \
+            == '{\n  "b": [\n    "-1/3",\n    "2"\n  ],\n  "holds": true\n}\n'
+
+    def test_emit_refuses_a_polynomial(self):
+        vector = quintic_invariants(generic_form(5))
+        with pytest.raises(TypeError,
+                           match="^MPoly does not serialize to JSON$"):
+            cli._emit(vector.as_dict())
+        with pytest.raises(TypeError,
+                           match="^object does not serialize to JSON$"):
+            cli._emit([object()])
 
     def test_coefficient_digit_bound(self):
         code, _, err = run_cli(["invariants", "1," + "9" * 4301 + ",2,3,4,5"])

@@ -355,12 +355,6 @@ class TestQuinticInvariants:
         assert all(value is getattr(vector, name)
                    for name, value in fields.items())
 
-    def test_json_round_trip(self):
-        vector = quintic_invariants(BinaryForm([1, 1, 0, 0, -1, 2]))
-        payload = vector.to_json_dict()
-        assert set(payload) == {"J", "K", "L", "H", "Disc"}
-        assert Fraction(payload["J"]) == vector.J
-
     def test_repr(self):
         assert repr(quintic_invariants(BinaryForm([1, 0, 0, 0, 0, 1]))) \
             == ("InvariantVector(J=Fraction(1, 1), K=Fraction(0, 1),"
@@ -369,11 +363,6 @@ class TestQuinticInvariants:
         assert repr(InvariantVector(u, 0, v ** 3, Fraction(-1, 2))) \
             == ("InvariantVector(J=MPoly('u'), K=Fraction(0, 1),"
                 " L=MPoly('v^3'), H=Fraction(-1, 2), Disc=MPoly('3125*u^2'))")
-
-    def test_symbolic_vector_refuses_json(self):
-        vector = quintic_invariants(generic_form(5))
-        with pytest.raises(TypeError, match="numeric"):
-            vector.to_json_dict()
 
     def test_invariance_under_det1(self):
         rng = random.Random(47)
@@ -580,6 +569,12 @@ class TestGradedDimensions:
             with pytest.raises(ValueError, match="multiple of 4"):
                 graded_dimension(bad)
             with pytest.raises(ValueError, match="multiple of 4"):
+                monomial_basis(bad)
+        for bad in (48.0, True, "48"):
+            message = f"^degree {bad!r} is not an int$"
+            with pytest.raises(TypeError, match=message):
+                graded_dimension(bad)
+            with pytest.raises(TypeError, match=message):
                 monomial_basis(bad)
 
     def test_verify_dims_report(self):

@@ -180,6 +180,11 @@ class TestConstruction:
                            match="^universe does not contain all variables$"):
             (X * Y).in_universe(("x", "z"))
 
+    def test_in_universe_drops_a_name_no_term_uses(self):
+        assert (X + Y - Y).in_universe(("x",)).variables == ("x",)
+        assert (X + Y - Y).in_universe(("x",)) == X
+        assert MPoly(("x", "y"), {}).in_universe(()).variables == ()
+
     def test_no_division_by_a_polynomial(self):
         with pytest.raises(TypeError,
                            match="^use monic_divrem for polynomial division$"):
@@ -353,6 +358,14 @@ class TestCalculusAndSubstitution:
         got = f.substitute({"x": 0, "y": Fraction(2, 3), "z": image})
         assert got == Fraction(2, 3) * image ** 2 + 5
         assert got.variables == ("u", "v")
+
+    def test_substitute_gives_zero_the_universe_of_any_result(self):
+        w = MPoly.variable("w")
+        zero = MPoly(("x", "y"), {})
+        assert zero.substitute({"x": Y + w}).variables == ("w", "y")
+        assert (X * Y).substitute({"x": Y + w}).variables == ("w", "y")
+        assert zero.substitute({"x": X + 1}).variables == ("x", "y")
+        assert zero.substitute({"t": w}) is zero
 
     def test_substitute_powers_by_squaring(self, monkeypatch):
         # a binding of two terms raised to 1024: halving takes a dozen
