@@ -13,6 +13,7 @@ decides scaled-GL2 equivalence and equality of five-point j-data.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -35,7 +36,7 @@ from .mpoly import (_BITS, _MASK, MPoly, _Record, _addmul, _apart,
                     _as_exact, _as_fraction, _cleared, _coefficient_terms,
                     _divrem, _int_exponent, _int_terms, _mentions,
                     _monomials, _product, _rehomogenize, _remap_terms,
-                    _shown, _unit, _universe)
+                    _shown, _unit, _universe, format_poly)
 
 __all__ = [
     "JKLPolynomial",
@@ -83,15 +84,18 @@ class JKLPolynomial(_Record):
     """A polynomial in the three basic invariants, stored sparsely.
 
     Keys are exponent triples (a1, a2, a3) for the monomial
-    L**a1 * K**a2 * J**a3; values are exact rationals.  The terms are
-    stored with their triples descending, the order the repr lists them in.
+    L**a1 * K**a2 * J**a3; values are exact rationals, stored with their
+    triples descending.  The arithmetic and the text are MPoly's over L, K, J.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms):
+        if not isinstance(terms, Mapping):
+            raise TypeError(
+                f"terms must be a mapping, not {type(terms).__name__}")
         clean = {}
-        for triple, value in dict(terms).items():
+        for triple, value in terms.items():
             key = _int_triple(triple)
             value = _as_fraction(value)
             if value:
@@ -104,47 +108,38 @@ class JKLPolynomial(_Record):
         degrees = {_triple_degree(t) for t in self.terms}
         return degrees.pop() if len(degrees) == 1 else None
 
+    def _poly(self) -> MPoly:
+        return MPoly(("L", "K", "J"), self.terms)
+
+    @staticmethod
+    def _of(poly: MPoly) -> "JKLPolynomial":
+        # the sorted universe (J, K, L) lists each exponent vector reversed
+        return JKLPolynomial({e[::-1]: c for e, c in poly.terms()})
+
     def __add__(self, other):
         if not isinstance(other, JKLPolynomial):
             return NotImplemented
-        out = dict(self.terms)
-        for key, value in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + value
-        return JKLPolynomial(out)
+        return self._of(self._poly() + other._poly())
 
     def __sub__(self, other):
         if not isinstance(other, JKLPolynomial):
             return NotImplemented
-        return self + (other * -1)
+        return self._of(self._poly() - other._poly())
 
     def __mul__(self, other):
-        if isinstance(other, JKLPolynomial):
-            out = {}
-            for (x1, x2, x3), c in self.terms.items():
-                for (y1, y2, y3), d in other.terms.items():
-                    key = (x1 + y1, x2 + y2, x3 + y3)
-                    out[key] = out.get(key, Fraction(0)) + c * d
-            return JKLPolynomial(out)
-        scalar = _as_fraction(other)
-        return JKLPolynomial({k: c * scalar for k, c in self.terms.items()})
+        other = (other._poly() if isinstance(other, JKLPolynomial)
+                 else _as_fraction(other))
+        return self._of(self._poly() * other)
 
     __rmul__ = __mul__
 
     def evaluate(self, J, K, L):
-        """Plug in values (rational or polynomial) for the three symbols;
+        """The value at rationals or polynomials, a Fraction when constant;
         any other value raises TypeError, as in ``_as_fraction``."""
-        monomials = _monomials(self.terms, map(_as_exact, (L, K, J)))
-        return sum((c * m for c, m in zip(self.terms.values(), monomials)), 0)
+        return _as_exact(self._poly().substitute({"J": J, "K": K, "L": L}))
 
     def __repr__(self):
-        if not self.terms:
-            return "JKLPolynomial(0)"
-        bits = []
-        for (a1, a2, a3), c in self.terms.items():
-            monos = "".join(f"*{s}^{e}" for s, e in
-                            (("L", a1), ("K", a2), ("J", a3)) if e)
-            bits.append(f"{c}{monos}")
-        return "JKLPolynomial(" + " + ".join(bits) + ")"
+        return f"JKLPolynomial({format_poly(self._poly())})"
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +193,9 @@ _TABLES = (
         (0, 0, 6): -1,
     }),
 )
-KEYPROP_TABLES = tuple(content * JKLPolynomial(ints)
-                       for content, ints in _TABLES)
+KEYPROP_TABLES = tuple(
+    JKLPolynomial({t: content * c for t, c in ints.items()})
+    for content, ints in _TABLES)
 _BASIS_24 = tuple(monomial_basis(24))
 # the tables in the form beauville_closed_form evaluates: the content and
 # (index in the basis, int coefficient) pairs

@@ -215,6 +215,9 @@ class MPoly:
         ints or Fractions; the stored universe is sorted."""
         if isinstance(variables, str):
             raise TypeError(f"universe {variables!r} is a str, not a sequence")
+        if not isinstance(terms, Mapping):
+            raise TypeError(
+                f"terms must be a mapping, not {type(terms).__name__}")
         names = tuple(variables)
         for v in names:     # the one name rule: identifiers print as such
             if not isinstance(v, str):

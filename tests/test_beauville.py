@@ -68,12 +68,12 @@ class TestJKLPolynomial:
         assert repr(JKLPolynomial({})) == "JKLPolynomial(0)"
         assert repr(JKLPolynomial({(0, 0, 0): 5, (1, 0, 0): Fraction(-3, 4),
                                    (0, 2, 1): -1})) \
-            == "JKLPolynomial(-3/4*L^1 + -1*K^2*J^1 + 5)"
+            == "JKLPolynomial(-J*K^2 - 3/4*L + 5)"
         assert repr(KEYPROP_TABLES[5]) == (
-            "JKLPolynomial(30517578125/17414258688*K^3"
-            " + -30517578125/17414258688*K^2*J^2"
-            " + 30517578125/52242776064*K^1*J^4"
-            " + -30517578125/470184984576*J^6)")
+            "JKLPolynomial(-30517578125/470184984576*J^6"
+            " + 30517578125/52242776064*J^4*K"
+            " - 30517578125/17414258688*J^2*K^2"
+            " + 30517578125/17414258688*K^3)")
 
     def test_degree_validation(self):
         JKLPolynomial({(2, 0, 0): 1, (0, 0, 6): -1})

@@ -1,17 +1,20 @@
 """Differential tests: the determinant, the resultant, the discriminant,
-substitution, ring operations, derivatives, coefficients, division, row
-reduction and the text format against sympy, the resultant against the
-Sylvester determinant, the numeric routes against the generic symbolic
-ones, the rejection of non-invariants that agree with an invariant on the
-canonical family, and the command line on random argument lists.
+substitution, ring operations, the J, K, L ring, derivatives,
+coefficients, division, row reduction and the text format against sympy,
+the resultant against the Sylvester determinant, the numeric routes
+against the generic symbolic ones, the rejection of non-invariants that
+agree with an invariant on the canonical family, and the command line on
+random argument lists.
 
 The sympy references run in sympy's polynomial rings over QQ: ``to_ring``
 reads a polynomial or a number into a ring element, determinants are
 Berkowitz's on ``DomainMatrix``, and every comparison is exact equality of
 ring elements or of matrices.  hypothesis draws the inputs under a
-derandomized profile, so every run checks the same examples.
+derandomized profile, and the J, K, L ring test from a seeded generator,
+so every run checks the same examples.
 """
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -25,7 +28,7 @@ from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import PolyRing
 
-from binform.beauville import (KEYPROP_TABLES, _row_reduce,
+from binform.beauville import (KEYPROP_TABLES, JKLPolynomial, _row_reduce,
                                beauville_closed_form, beauville_pipeline,
                                decompose_in_JKL, same_j_data)
 from binform.forms import (BinaryForm, GroupElement, act, discriminant,
@@ -34,7 +37,7 @@ from binform.forms import (BinaryForm, GroupElement, act, discriminant,
 from binform.invariants import _scaled_invariants, quintic_invariants
 from binform.mpoly import (_BITS, MPoly, _addmul, _remap_key, _remap_table,
                            det_fraction_free, format_poly, monic_divrem)
-from conftest import run_cli
+from conftest import draw_coefficient, run_cli
 
 settings.register_profile(
     "differential", derandomize=True, database=None, deadline=None,
@@ -543,6 +546,57 @@ def test_numeric_invariants_equal_the_generic_ones(coeffs):
         value = getattr(got, name)
         assert isinstance(value, Fraction)
         assert value == getattr(GENERIC, name).evaluate(values)
+
+
+# sympy's ring QQ[L, K, J]: a JKL triple (a1, a2, a3) is its exponent vector
+LKJ = PolyRing(("L", "K", "J"), QQ)
+# the same ring with the generic coefficients, where J, K, L get their images
+LKJ_A = PolyRing(("L", "K", "J", "a0", "a1", "a2", "a3", "a4", "a5"), QQ)
+
+
+def jkl_to_ring(p, ring):
+    """A JKLPolynomial read from its terms into ``ring``, whose first three
+    generators are L, K, J."""
+    zeros = (0,) * (ring.ngens - 3)
+    return ring.from_dict({t + zeros: QQ.convert(c)
+                           for t, c in p.terms.items()})
+
+
+def random_jkl(rng, height, top):
+    """One to three terms with triples in range(top) ** 3, one of them
+    unlike its reverse, so a ring that reads the triples backwards differs."""
+    while True:
+        triples = {tuple(rng.randrange(top) for _ in range(3))
+                   for _ in range(rng.randint(1, 3))}
+        if any(t != t[::-1] for t in triples):
+            return JKLPolynomial({t: draw_coefficient(rng, height) or 1
+                                  for t in triples})
+
+
+@pytest.mark.parametrize("height", ["small", "int20", "rat64"])
+def test_jkl_ring_matches_sympy(height):
+    # JKLPolynomial's sum, product and evaluation against sympy's ring in
+    # L, K, J, at rationals and at the generic quintic's J, K, L
+    rng = random.Random(f"jkl-{height}")
+    generic = [to_ring(getattr(GENERIC, v), LKJ_A) for v in "LKJ"]
+    for _ in range(6):
+        p, q = random_jkl(rng, height, 3), random_jkl(rng, height, 3)
+        a, b = jkl_to_ring(p, LKJ), jkl_to_ring(q, LKJ)
+        s = draw_coefficient(rng, height)
+        assert jkl_to_ring(p + q, LKJ) == a + b
+        assert jkl_to_ring(p - q, LKJ) == a - b
+        assert jkl_to_ring(p * q, LKJ) == a * b
+        assert jkl_to_ring(p * s, LKJ) == jkl_to_ring(s * p, LKJ) \
+            == a * QQ.convert(s)
+        L, K, J = (draw_coefficient(rng, height) for _ in range(3))
+        value = p.evaluate(J=J, K=K, L=L)
+        assert isinstance(value, Fraction)
+        assert QQ.convert(value) == a(*map(QQ.convert, (L, K, J)))
+    # triples in {0, 1} ** 3 keep the symbolic degree at most 24
+    p = random_jkl(rng, height, 2)
+    expected = jkl_to_ring(p, LKJ_A).compose(list(zip(LKJ_A.gens, generic)))
+    assert to_ring(p.evaluate(J=GENERIC.J, K=GENERIC.K, L=GENERIC.L),
+                   LKJ_A) == expected
 
 
 def fraction_route(form):

@@ -82,8 +82,15 @@ HUGE = 10 ** 5000   # past Python's default limit of 4300 printed digits
      "transvectant index a 16610-bit int out of range for orders 1,1"),
     (lambda: beauville.JKLPolynomial({(-HUGE, 0, 0): 1}), ValueError,
      "exponent a1 must be nonnegative, got a negative 16610-bit int"),
+    (lambda: beauville.JKLPolynomial(HUGE), TypeError,
+     "terms must be a mapping, not int"),
+    (lambda: mpoly.MPoly(("x",), [((HUGE,), 2)]), TypeError,
+     "terms must be a mapping, not list"),
+    (lambda: mpoly.MPoly(("x", "y"), [((HUGE, 0), 2)]), TypeError,
+     "terms must be a mapping, not list"),
 ], ids=["pow", "graded_dimension", "thm48_decompose", "weight_of",
-        "transvectant", "JKLPolynomial"])
+        "transvectant", "JKLPolynomial", "JKLPolynomial_terms",
+        "MPoly_pairs", "MPoly_pairs_of_pairs"])
 def test_refusals_print_any_value(call, error, text):
     # an int too long to print is shown by its size, so the refusal keeps
     # its own type and text, which names the argument
