@@ -16,11 +16,11 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import combinations, islice
 from math import gcd, isqrt
 
 from .forms import (BinaryForm, GroupElement, _bezout_resultant, _over,
-                    _require_forms, act, weight_of)
+                    _require_forms, act, generic_form, weight_of)
 from .invariants import (
     InvariantVector,
     _check_graded_degree,
@@ -36,7 +36,7 @@ from .mpoly import (_BITS, _MASK, MPoly, _Record, _addmul, _apart,
                     _as_exact, _as_fraction, _cleared, _coefficient_terms,
                     _divrem, _int_exponent, _int_terms, _mentions,
                     _monomials, _product, _rehomogenize, _remap_terms,
-                    _shown, _unit, _universe, format_poly)
+                    _shown, _unit, _universe, _vector_degree, format_poly)
 
 __all__ = [
     "JKLPolynomial",
@@ -97,6 +97,7 @@ class JKLPolynomial(_Record):
         clean = {}
         for triple, value in terms.items():
             key = _int_triple(triple)
+            _vector_degree(key, 3)      # MPoly's bound on the arithmetic
             value = _as_fraction(value)
             if value:
                 clean[key] = value
@@ -231,8 +232,8 @@ class BeauvilleVector(_Record):
 class TschirnhausTrace(_Record):
     """Audit record of the pipeline intermediates.
 
-    q_coeffs  five binomial-convention coefficients of the companion quartic,
-              polynomials in lam (and a1..a4 in symbolic mode)
+    quartic   the companion quartic that build_phi received: coefficients
+              1 and polynomials in lam (and a1..a4 in symbolic mode)
     phi       (S^3 - 27 T^2) z - S^3 evaluated on that quartic
     phi_bar   phi reduced modulo the monic quintic, degree <= 4 in lam
     r_bar     the resultant in lam of the quintic and phi_bar: a quintic in z
@@ -243,10 +244,10 @@ class TschirnhausTrace(_Record):
     shear), the trace describes the prepared form.
     """
 
-    __slots__ = ("q_coeffs", "phi", "phi_bar", "r_bar")
+    __slots__ = ("quartic", "phi", "phi_bar", "r_bar")
 
-    def __init__(self, q_coeffs, phi, phi_bar, r_bar):
-        self.q_coeffs = tuple(q_coeffs)
+    def __init__(self, quartic, phi, phi_bar, r_bar):
+        self.quartic = quartic
         self.phi = phi
         self.phi_bar = phi_bar
         self.r_bar = r_bar
@@ -323,7 +324,7 @@ def _core_pipeline(tail) -> TschirnhausTrace:
     r_bar = _bezout_resultant(
         [_remap_terms(c, vs, rest) for c in [{0: d}, *n]], d,
         [{}] * (5 - len(parts)) + parts[::-1], phi_bar._den, rest)
-    return TschirnhausTrace(quartic.binomial_coeffs(), phi, phi_bar, r_bar)
+    return TschirnhausTrace(quartic, phi, phi_bar, r_bar)
 
 
 def _symbol_name(poly: MPoly):
@@ -407,9 +408,8 @@ def beauville_closed_form(quintic: BinaryForm) -> BeauvilleVector:
     one int dot product S_i with its table's int coefficients, divided
     once by the table's content times q**6.
     """
-    sums, q6 = _closed_form_sums(*_numeric_jkl(
-        quintic, "beauville_closed_form",
-        "closed-form route needs a numeric quintic"))
+    sums, q6 = _closed_form_sums(*_numeric_jkl(quintic,
+                                               "beauville_closed_form"))
     return BeauvilleVector(
         [Fraction(content.numerator * s, content.denominator * q6)
          for (content, _), s in zip(_INT_TABLES, sums)])
@@ -430,18 +430,17 @@ def _closed_form_sums(J, K, L, _chain) -> tuple:
              for _, table in _INT_TABLES], q3 * q3)
 
 
-def _numeric_jkl(quintic: BinaryForm, what: str, message=None) -> tuple:
+def _numeric_jkl(quintic: BinaryForm, what: str) -> tuple:
     """J, K, L of a quintic as Fractions, then the rest of its
     ``_scaled_invariants`` (H's pair, when asked).  Errors begin with
     ``what``, such as "first quintic: same_j_data"; when J, K or L is not
-    a number, the TypeError is ``message``, by default "<what> needs a
-    numeric quintic"."""
+    a number, the TypeError is "<what> needs a numeric quintic"."""
     _require_order(quintic, 5, what)
     chain = _scaled_invariants(quintic)
     jkl = [_as_exact(_over(n, d))    # a constant MPoly as a Fraction
            for n, d in islice(chain, 3)]
     if any(isinstance(x, MPoly) for x in jkl):
-        raise TypeError(message or f"{what} needs a numeric quintic")
+        raise TypeError(f"{what} needs a numeric quintic")
     return (*jkl, chain)
 
 
@@ -584,9 +583,9 @@ def _row_reduce(matrix, columns):
 # headline verifications
 # ---------------------------------------------------------------------------
 
-def _table_json(table: JKLPolynomial, basis):
+def _table_json(table: JKLPolynomial) -> list:
     out = []
-    for triple in basis:
+    for triple in _BASIS_24:
         value = table.terms.get(triple)
         if value:
             out.append({"L": triple[0], "K": triple[1], "J": triple[2],
@@ -603,31 +602,23 @@ def verify_keyprop() -> dict:
     seconds).  A mismatched entry also lists its expected table and the
     coefficients that differ.
     """
-    generic = BinaryForm([MPoly.variable(n) for n in _COEFF_NAMES])
-    vector, _ = beauville_pipeline(generic)
-    basis = monomial_basis(24)
+    vector, _ = beauville_pipeline(generic_form(5))
     entries = []
-    all_match = True
-    for i in range(6):
-        computed = decompose_in_JKL(vector.b[i], 24)
-        match = computed == KEYPROP_TABLES[i]
-        all_match = all_match and match
-        entry = {
-            "index": i,
-            "match": match,
-            "coefficients": _table_json(computed, basis),
-        }
-        if not match:
-            entry["expected"] = _table_json(KEYPROP_TABLES[i], basis)
+    for i, (b, expected) in enumerate(zip(vector.b, KEYPROP_TABLES)):
+        computed = decompose_in_JKL(b, 24)
+        entry = {"index": i, "match": computed == expected,
+                 "coefficients": _table_json(computed)}
+        if not entry["match"]:
+            entry["expected"] = _table_json(expected)
             entry["differences"] = [
                 {"L": t[0], "K": t[1], "J": t[2],
                  "computed": str(computed.terms.get(t, Fraction(0))),
-                 "expected": str(KEYPROP_TABLES[i].terms.get(t, Fraction(0)))}
-                for t in basis
+                 "expected": str(expected.terms.get(t, Fraction(0)))}
+                for t in _BASIS_24
                 if computed.terms.get(t, Fraction(0))
-                != KEYPROP_TABLES[i].terms.get(t, Fraction(0))]
+                != expected.terms.get(t, Fraction(0))]
         entries.append(entry)
-    return {"all_match": all_match, "entries": entries}
+    return {"all_match": all(e["match"] for e in entries), "entries": entries}
 
 
 def prop48_rank():
@@ -635,22 +626,14 @@ def prop48_rank():
     19 degree-48 basis monomials, plus its exact rank.
 
     Products are expanded in the free ring of J, K, L (legitimate since the
-    three are algebraically independent).  Full rank 19 means the products
-    span the whole degree-48 component.
+    three are algebraically independent).  The columns are the six squares,
+    then the products b_i b_j with i < j in lexicographic order.  Full rank
+    19 means the products span the whole degree-48 component.
     """
-    basis = monomial_basis(48)
-    index = {triple: i for i, triple in enumerate(basis)}
-    products = []
-    for i in range(6):
-        products.append(KEYPROP_TABLES[i] * KEYPROP_TABLES[i])
-    for i in range(6):
-        for j in range(i + 1, 6):
-            products.append(KEYPROP_TABLES[i] * KEYPROP_TABLES[j])
-
-    matrix = [[Fraction(0)] * len(products) for _ in basis]
-    for col, product in enumerate(products):
-        for triple, value in product.terms.items():
-            matrix[index[triple]][col] = value
+    pairs = [(i, i) for i in range(6)] + list(combinations(range(6), 2))
+    products = [KEYPROP_TABLES[i] * KEYPROP_TABLES[j] for i, j in pairs]
+    matrix = [[p.terms.get(triple, Fraction(0)) for p in products]
+              for triple in monomial_basis(48)]
     _, pivots = _row_reduce(matrix, len(products))
     return matrix, len(pivots)
 

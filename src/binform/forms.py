@@ -92,13 +92,6 @@ class BinaryForm(_Record):
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def binomial_coeffs(self) -> tuple:
-        """The (q0..q4) of a quartic in the binomial convention."""
-        if self.order != 4:
-            raise ValueError("binomial convention is defined for quartics")
-        a = self.coeffs
-        return (a[0], a[1] / 4, a[2] / 6, a[3] / 4, a[4])
-
     def to_mpoly(self) -> MPoly:
         """F as a polynomial in x1, x2 and the coefficient symbols; a
         coefficient in which x1 or x2 occurs raises ValueError."""

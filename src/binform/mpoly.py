@@ -60,6 +60,20 @@ def _int_exponent(e, what: str = "exponent") -> int:
     return e
 
 
+def _vector_degree(exps, n: int) -> int:
+    """The total degree of an exponent vector: a tuple of n ints, none
+    negative, whose sum fits the degree field."""
+    if not isinstance(exps, tuple):
+        raise TypeError(f"term key {exps!r} is not an exponent vector")
+    if len(exps) != n:
+        raise ValueError("exponent vector length mismatch")
+    if any(_int_exponent(e) < 0 for e in exps):
+        raise ValueError("negative exponent")
+    degree = sum(exps)
+    _check_degree(degree)
+    return degree
+
+
 def _addmul(acc: dict, f: dict, g: dict, sign=1, vs=()) -> dict:
     """Add sign * f * g into the raw term dict acc in place and return acc;
     sign is any int, such as -1 or a weight of a sum of products.  The
@@ -232,14 +246,7 @@ class MPoly:
         shifts = [_shift(vs, v) for v in names]
         keys = []
         for exps in terms:
-            if not isinstance(exps, tuple):
-                raise TypeError(f"term key {exps!r} is not an exponent vector")
-            if len(exps) != n:
-                raise ValueError("exponent vector length mismatch")
-            if any(_int_exponent(e) < 0 for e in exps):
-                raise ValueError("negative exponent")
-            degree = sum(exps)
-            _check_degree(degree)
+            degree = _vector_degree(exps, n)
             keys.append(sum(e << sh for e, sh in zip(exps, shifts))
                         + (degree << (n * _BITS)))
         ints, den = _cleared(terms.values())

@@ -348,8 +348,8 @@ class TestNumericPipeline:
         vector, trace = beauville_pipeline(BinaryForm([1, 0, 0, 0, 0, 1]))
         assert vector.b[0] == Fraction(3125 ** 3, 2 ** 40)
         assert vector == beauville_closed_form(BinaryForm([1, 0, 0, 0, 0, 1]))
-        assert len(trace.q_coeffs) == 5
-        assert trace.q_coeffs[0] == 1
+        assert trace.quartic.order == 4
+        assert trace.quartic.coeffs[0] == 1
         assert trace.r_bar.degree("z") == 5
         assert trace.r_bar.coefficient("z", 5).constant_value() == vector.b[0]
 
@@ -398,7 +398,7 @@ class TestNumericPipeline:
         with pytest.raises(TypeError, match="numeric"):
             beauville_closed_form(generic_form(5))
         with pytest.raises(TypeError,
-                           match="^closed-form route needs a numeric"
+                           match="^beauville_closed_form needs a numeric"
                                  " quintic$"):
             beauville_closed_form(
                 BinaryForm([MPoly.variable("t"), 0, 0, 0, 0, 1]))
@@ -482,7 +482,7 @@ def stage_trace(tail):
     parts = phi_bar.coefficients("lam")
     r_bar = resultant(BinaryForm([1, *tail]), BinaryForm(
         [parts[e] if e < len(parts) else 0 for e in range(4, -1, -1)]))
-    return (*quartic.binomial_coeffs(), phi, phi_bar,
+    return (*quartic.coeffs, phi, phi_bar,
             r_bar.in_universe(sorted({*r_bar.variables, "z"})))
 
 
@@ -497,7 +497,7 @@ def pipeline_tail(form):
 
 
 def assert_same_trace(trace, expected):
-    fields = (*trace.q_coeffs, trace.phi, trace.phi_bar, trace.r_bar)
+    fields = (*trace.quartic.coeffs, trace.phi, trace.phi_bar, trace.r_bar)
     for got, want in zip(fields, expected, strict=True):
         assert type(got) is type(want)
         assert got == want
@@ -604,11 +604,13 @@ def test_keyprop_calls_the_determinant_once_through_its_bindings(
 def test_pipeline_takes_phi_from_build_phi_once_through_its_bindings(
         monkeypatch):
     # patched at every module binding, as perfbench's tracer patches it:
-    # its phi stage row reads build_phi, and the trace's phi is its result
+    # its phi stage row reads build_phi, and the trace's quartic and phi are
+    # its argument and its result
     original = beauville.build_phi
-    results = []
+    quartics, results = [], []
 
     def counted(quartic):
+        quartics.append(quartic)
         results.append(original(quartic))
         return results[-1]
 
@@ -623,6 +625,7 @@ def test_pipeline_takes_phi_from_build_phi_once_through_its_bindings(
     for calls, form in enumerate(forms, 1):
         _, trace = beauville_pipeline(form)
         assert len(results) == calls
+        assert trace.quartic is quartics[-1]
         assert trace.phi is results[-1]
 
 
@@ -659,7 +662,8 @@ class TestSymbolicPipeline:
 
     def test_trace_shapes(self, symbolic_vector):
         _, trace = symbolic_vector
-        assert len(trace.q_coeffs) == 5
+        assert trace.quartic.order == 4
+        assert trace.quartic.coeffs[0] == 1
         assert trace.phi.degree("z") == 1
         assert trace.phi_bar.degree("lam") <= 4
         assert trace.r_bar.degree("z") == 5
@@ -708,6 +712,25 @@ class TestSymbolicPipeline:
         diffs = report["entries"][3]["differences"]
         assert len(diffs) == 1
         assert (diffs[0]["L"], diffs[0]["K"], diffs[0]["J"]) == (0, 0, 6)
+
+    def test_mismatch_shows_a_missing_coefficient_as_zero(
+            self, symbolic_vector, monkeypatch):
+        # b0's table has four of the seven basis monomials: one term moved
+        # to a monomial it lacks shows 0 on each side where it is missing,
+        # and the two monomials that neither side has are not listed
+        terms = dict(KEYPROP_TABLES[0].terms)
+        moved = terms.pop((0, 3, 0))
+        tampered = (JKLPolynomial({**terms, (2, 0, 0): moved}),
+                    *KEYPROP_TABLES[1:])
+        monkeypatch.setattr(beauville, "KEYPROP_TABLES", tampered)
+        monkeypatch.setattr(beauville, "beauville_pipeline",
+                            lambda form: symbolic_vector)
+        entry = verify_keyprop()["entries"][0]
+        assert not entry["match"]
+        assert sorted((d["L"], d["K"], d["J"], d["computed"], d["expected"])
+                      for d in entry["differences"]) \
+            == [(0, 3, 0, str(moved), "0"), (2, 0, 0, "0", str(moved))]
+        assert len(entry["expected"]) == 4
 
     def test_pipeline_rejects_mixed_coefficients(self):
         bad = BinaryForm([MPoly.variable("a0"), MPoly.variable("a1"),
@@ -905,6 +928,47 @@ class TestProp48:
         last = KEYPROP_TABLES[4] * KEYPROP_TABLES[5]
         for i, triple in enumerate(basis):
             assert matrix[i][20] == last.terms.get(triple, Fraction(0))
+
+
+# the columns of prop48_rank: the six squares, then b_i b_j for i < j
+PROP48_PAIRS = ([(i, i) for i in range(6)]
+                + [(i, j) for i in range(6) for j in range(i + 1, 6)])
+
+
+def test_prop48_kernel_is_spanned_by_the_two_quadratic_relations():
+    # R1 and R2, the two quadratic relations among b0..b5, vanish on
+    # every row; with rank 19 of 21 columns they span the kernel,
+    # so a column moved or replaced either breaks a relation or drops the
+    # rank
+    r1 = {(0, 4): 531441, (0, 0): -143360, (1, 1): -34992, (0, 1): -148608,
+          (0, 2): 128304, (1, 2): 78732}
+    r2 = {(0, 5): 28697814, (0, 0): 2289664, (1, 1): 1236384,
+          (2, 2): -531441, (0, 1): 3383424, (0, 2): 244944, (0, 3): 2755620,
+          (0, 4): -2125764, (1, 3): 2125764}
+    matrix, rank = prop48_rank()
+    assert rank == 19
+    for relation in (r1, r2):
+        assert set(relation) <= set(PROP48_PAIRS)
+        vector = [relation.get(pair, 0) for pair in PROP48_PAIRS]
+        for row in matrix:
+            assert sum(x * y for x, y in zip(row, vector)) == 0
+
+
+@pytest.mark.parametrize("height", ["small", "int20", "rat64"])
+def test_prop48_columns_evaluate_to_the_pipeline_products(height):
+    # a second route to every column: at a numeric quintic, column (i, j)
+    # dotted with the basis monomials at its J, K, L is the pipeline's
+    # b_i b_j
+    rng = random.Random(f"prop48-columns-{height}")
+    form = BinaryForm([draw_coefficient(rng, height) or 1 for _ in range(6)])
+    b = beauville_pipeline(form)[0].b
+    iv = quintic_invariants(form)
+    values = [iv.L ** a1 * iv.K ** a2 * iv.J ** a3
+              for a1, a2, a3 in monomial_basis(48)]
+    matrix, _ = prop48_rank()
+    for col, (i, j) in enumerate(PROP48_PAIRS):
+        assert sum(row[col] * v for row, v in zip(matrix, values)) \
+            == b[i] * b[j]
 
 
 class TestThm48Decompose:

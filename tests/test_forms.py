@@ -149,12 +149,6 @@ class TestBinaryForm:
         with pytest.raises(TypeError, match="exact rational"):
             BinaryForm([lead, 0, 0, 0, 0, 1])
 
-    def test_binomial_round_trip(self):
-        q = BinaryForm([1, 8, 18, 16, 5])
-        assert list(q.binomial_coeffs()) == [1, 2, 3, 4, 5]
-        with pytest.raises(ValueError, match="quartics"):
-            BinaryForm([1, 0, 0]).binomial_coeffs()
-
     def test_partials_match_mpoly_diff(self):
         rng = random.Random(7)
         for _ in range(10):

@@ -84,13 +84,15 @@ HUGE = 10 ** 5000   # past Python's default limit of 4300 printed digits
      "exponent a1 must be nonnegative, got a negative 16610-bit int"),
     (lambda: beauville.JKLPolynomial(HUGE), TypeError,
      "terms must be a mapping, not int"),
+    (lambda: beauville.JKLPolynomial({(HUGE, 0, 0): 1}), OverflowError,
+     "total degree a 16610-bit int exceeds the supported maximum 65535"),
     (lambda: mpoly.MPoly(("x",), [((HUGE,), 2)]), TypeError,
      "terms must be a mapping, not list"),
     (lambda: mpoly.MPoly(("x", "y"), [((HUGE, 0), 2)]), TypeError,
      "terms must be a mapping, not list"),
 ], ids=["pow", "graded_dimension", "thm48_decompose", "weight_of",
         "transvectant", "JKLPolynomial", "JKLPolynomial_terms",
-        "MPoly_pairs", "MPoly_pairs_of_pairs"])
+        "JKLPolynomial_degree", "MPoly_pairs", "MPoly_pairs_of_pairs"])
 def test_refusals_print_any_value(call, error, text):
     # an int too long to print is shown by its size, so the refusal keeps
     # its own type and text, which names the argument
@@ -151,7 +153,7 @@ def test_exact_value_records_share_one_rule():
     assert list(jkl.terms) == [(2, 0, 0), (0, 0, 6)]
     _, trace = beauville.beauville_pipeline(
         forms.BinaryForm([1, 0, 0, 0, 0, 1]))
-    assert repr(trace).startswith("TschirnhausTrace(q_coeffs=(Fraction(1, 1),")
+    assert repr(trace).startswith("TschirnhausTrace(quartic=BinaryForm([1, lam, ")
     assert ", r_bar=MPoly(" in repr(trace)
 
 
